@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import TroutConfig, TuningConfig, run_regression_cv, train_trout
 from repro.core.training import build_feature_matrix
-from repro.eval.comparison import compare_models
+from repro.core.zoo import compare_models
 from repro.workload import WorkloadConfig, generate_trace
 
 OUT_DIR = Path(__file__).parent / "out"

@@ -17,7 +17,7 @@ import argparse
 
 from repro.core import TroutConfig, TuningConfig
 from repro.core.training import build_feature_matrix
-from repro.eval.comparison import compare_models
+from repro.core.zoo import compare_models
 from repro.eval.report import format_table
 from repro.workload import WorkloadConfig, generate_trace
 

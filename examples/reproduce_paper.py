@@ -22,7 +22,7 @@ import numpy as np
 from repro.core import TroutConfig, TuningConfig, run_regression_cv, train_trout
 from repro.core.training import build_feature_matrix
 from repro.data.stats import format_statistics_table, job_statistics
-from repro.eval.comparison import compare_models
+from repro.core.zoo import compare_models
 from repro.eval.report import format_table
 from repro.workload import WorkloadConfig, generate_trace
 

@@ -54,7 +54,6 @@ from repro.data.swf import read_swf, write_swf
 from repro.features.pipeline import FeaturePipeline
 from repro.slurm.accounting import format_sacct
 from repro.slurm.anvil import anvil_cluster
-from repro.slurm.simulator import SIM_ENGINES
 from repro.utils.logging import enable_console_logging
 from repro.workload import WorkloadConfig, generate_trace
 
@@ -91,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--load", type=float, default=0.28, help="target pool load")
     sim.add_argument("--scale", type=float, default=0.05, help="cluster scale")
     sim.add_argument("--out", type=Path, required=True, help="output .swf path")
-    sim.add_argument(
-        "--sim-engine",
-        choices=SIM_ENGINES,
-        default=None,
-        help="simulation engine (default: $REPRO_SIM_ENGINE or fast; "
-        "both engines produce bitwise-identical traces)",
-    )
     _add_telemetry_args(sim)
 
     st = sub.add_parser("stats", help="describe a trace")
@@ -281,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = WorkloadConfig(
         n_jobs=args.n_jobs, seed=args.seed, load=args.load, cluster_scale=args.scale
     )
-    result, _cluster = generate_trace(cfg, engine=args.sim_engine)
+    result, _cluster = generate_trace(cfg)
     write_swf(result.jobs, args.out)
     q = result.queue_time_min
     print(f"wrote {len(result.jobs)} jobs to {args.out}")

@@ -10,11 +10,10 @@ within-100 %-error series.
 All baselines regress ``log1p(minutes)`` like the NN (the shared
 natural-log treatment), so the comparison isolates the model family.
 
-Moved here from ``repro.eval.comparison`` (which re-exports lazily): the
-zoo builds :class:`repro.core.regressor.QueueTimeRegressor` instances, so
-it belongs in ``core`` — leaving it in ``eval`` inverted the layering DAG
-and dragged training machinery into anything importing eval's metrics
-(the serving layer most of all).
+The zoo builds :class:`repro.core.regressor.QueueTimeRegressor`
+instances, so it belongs in ``core`` — in ``eval`` it inverted the
+layering DAG and dragged training machinery into anything importing
+eval's metrics (the serving layer most of all).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Evaluation: the paper's metrics, model-comparison harness, and report
-formatting for the tables/figures reproduced in ``benchmarks/``."""
+"""Evaluation: the paper's metrics and report formatting for the
+tables/figures reproduced in ``benchmarks/``.  The model-comparison
+harness builds core regressors, so it lives in :mod:`repro.core.zoo`."""
 
 from repro.eval.calibration import coverage_curve, interval_coverage
 from repro.eval.metrics import (

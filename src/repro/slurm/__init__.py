@@ -19,13 +19,7 @@ from repro.slurm.fairshare import FairShareTracker
 from repro.slurm.priority import MultifactorPriority, PriorityWeights
 from repro.slurm.resources import Cluster, NodePool, Partition
 from repro.slurm.queue import EventQueue, JobPool
-from repro.slurm.simulator import (
-    SIM_ENGINES,
-    PreemptionPolicy,
-    SimulationResult,
-    Simulator,
-    resolve_sim_engine,
-)
+from repro.slurm.simulator import PreemptionPolicy, SimulationResult, Simulator
 from repro.slurm.utilization import pool_utilization, utilization_summary
 
 __all__ = [
@@ -39,8 +33,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "PreemptionPolicy",
-    "SIM_ENGINES",
-    "resolve_sim_engine",
     "EventQueue",
     "JobPool",
     "pool_utilization",

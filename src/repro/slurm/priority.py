@@ -157,8 +157,9 @@ class CachedPriority:
     def touch(self, t: float) -> None:
         """Trigger fair-share decay at ``t`` without computing anything.
 
-        Decay is piecewise (``f(a)·f(b) != f(a+b)`` bitwise), so engines
-        must decay at the *same sequence of times*.  The reference pass
+        Decay is piecewise (``f(a)·f(b) != f(a+b)`` bitwise), so the
+        simulator and its reference oracle must decay at the *same
+        sequence of times*.  The reference pass
         evaluates priorities — and therefore decays — at every pass over
         a non-empty queue; a fast-path pass that skips priority evaluation
         (single-job queue: order is trivial) calls this instead.

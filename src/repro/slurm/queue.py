@@ -1,7 +1,7 @@
 """Throughput-oriented simulator data structures.
 
-The fast simulation engine replaces the two per-event hot spots of the
-reference event loop:
+The simulator's event loop avoids the two per-event hot spots of the
+straight-line reference loop (``tests/oracles/reference_sim.py``):
 
 - :class:`EventQueue` — a binary heap of ``[time, kind, seq, job]``
   entries with an index keyed ``(kind, job)`` so a scheduled event can be
@@ -10,7 +10,7 @@ reference event loop:
   pop time; tombstones are skipped (and discarded) as they surface.
 - :class:`JobPool` — a pending/running membership set backed by NumPy
   index arrays with O(1) swap-remove, replacing the O(n)
-  ``list.remove`` calls of the reference engine.  Iteration order is
+  ``list.remove`` calls of the reference loop.  Iteration order is
   *not* insertion order; callers that need deterministic ordering sort
   by an explicit key (the simulator uses a global start counter).
 

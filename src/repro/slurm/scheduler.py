@@ -8,6 +8,10 @@ for it) and then lets lower-priority jobs backfill — either because they
 will finish before the shadow time, or because they fit inside the spare
 ("extra") resources the reservation does not need.  This is the classic
 EASY algorithm at aggregate-resource granularity.
+
+The straight-line per-job form of the pass — the "reference" the
+comments below refer to — lives in ``tests/oracles/reference_sim.py``,
+where the equivalence suite pins this module against it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.slurm.nodes import Allocation, NodeLedger
-from repro.slurm.priority import CachedPriority, MultifactorPriority
+from repro.slurm.priority import CachedPriority
 
-__all__ = ["PoolLedger", "BackfillScheduler", "VectorBackfillScheduler"]
+__all__ = ["PoolLedger", "VectorBackfillScheduler"]
 
 #: Ready-queue sizes at or below this take the scalar pass path — the
 #: typical pass sees one or two candidates, where Python scalars beat
@@ -28,7 +32,6 @@ __all__ = ["PoolLedger", "BackfillScheduler", "VectorBackfillScheduler"]
 #: crossover against the vector pass's fixed dispatch cost sits around
 #: a dozen candidates.
 _SCALAR_PASS_MAX = 16
-
 
 
 @dataclass
@@ -105,173 +108,12 @@ class PoolLedger:
             self.nodes.release(self._allocations.pop(job))
 
 
-class BackfillScheduler:
-    """EASY backfill over the pending queue of one pool.
-
-    Parameters
-    ----------
-    priority_engine:
-        Multifactor priority evaluator shared with the simulator.
-    backfill_depth:
-        How many jobs past the blocked head are considered for backfill per
-        pass (Slurm's ``bf_max_job_test`` analogue; bounds pass cost).
-    """
-
-    def __init__(
-        self,
-        priority_engine: MultifactorPriority,
-        backfill_depth: int = 100,
-        exclusive_by_partition: np.ndarray | None = None,
-    ) -> None:
-        self.priority = priority_engine
-        self.backfill_depth = backfill_depth
-        #: Per-partition whole-node flags (used in node-level mode).
-        self.exclusive_by_partition = exclusive_by_partition
-        #: Index of the job that blocked at the head of the queue on the
-        #: most recent pass (None when everything started).  The simulator
-        #: uses this for preemption decisions.
-        self.last_blocked: int | None = None
-        #: How many of the most recent pass's started jobs were backfilled
-        #: (started from below a blocked head) rather than started in
-        #: priority order.  Telemetry reads this after each pass.
-        self.last_backfilled: int = 0
-
-    def _is_exclusive(self, jobs: np.ndarray, j: int) -> bool:
-        if self.exclusive_by_partition is None:
-            return False
-        return bool(self.exclusive_by_partition[int(jobs["partition"][j])])
-
-    def run_pass(
-        self,
-        t: float,
-        jobs: np.ndarray,
-        pending: list[int],
-        running: list[int],
-        ledger: PoolLedger,
-    ) -> list[int]:
-        """Start every job that can start at time ``t``; return their indices.
-
-        ``jobs`` is the submission record array; ``pending`` / ``running``
-        are index lists for this pool.  Started jobs are removed from
-        ``pending`` and resources allocated in ``ledger``; the caller sets
-        start times, pushes end events and updates ``running``.
-        """
-        self.last_blocked = None
-        self.last_backfilled = 0
-        if not pending:
-            return []
-        idx = np.asarray(pending, dtype=np.intp)
-        prio = self.priority.compute(
-            t,
-            eligible_time=jobs["eligible_time"][idx],
-            user_ids=jobs["user_id"][idx],
-            partitions=jobs["partition"][idx],
-            req_cpus=jobs["req_cpus"][idx].astype(np.float64),
-            qos=jobs["qos"][idx],
-        )
-        # Slurm order: priority desc, then eligibility asc, then job id asc.
-        order = np.lexsort((jobs["job_id"][idx], jobs["eligible_time"][idx], -prio))
-        ordered = idx[order]
-
-        started: list[int] = []
-        blocked: int | None = None
-        shadow_time = np.inf
-        extra = np.array([np.inf, np.inf, np.inf])
-        scanned_past_block = 0
-
-        for j in ordered:
-            cpus = float(jobs["req_cpus"][j])
-            mem = float(jobs["req_mem_gb"][j])
-            gpus = float(jobs["req_gpus"][j])
-            req_nodes = int(jobs["req_nodes"][j])
-            exclusive = self._is_exclusive(jobs, j)
-            fits = ledger.fits_job(cpus, mem, gpus, req_nodes, exclusive)
-
-            if blocked is None:
-                if fits:
-                    ledger.allocate_job(int(j), cpus, mem, gpus, req_nodes, exclusive)
-                    started.append(int(j))
-                    continue
-                blocked = int(j)
-                self.last_blocked = blocked
-                shadow_time, extra = self._shadow(
-                    t, jobs, running, ledger, cpus, mem, gpus
-                )
-                continue
-
-            # Backfill region: bounded scan below the blocked head.
-            scanned_past_block += 1
-            if scanned_past_block > self.backfill_depth:
-                break
-            if not fits:
-                continue
-            expected_end = t + float(jobs["timelimit_min"][j]) * 60.0
-            req = np.array([cpus, mem, gpus])
-            if expected_end <= shadow_time + 1e-9:
-                # Finishes before the reservation needs its resources.
-                ledger.allocate_job(int(j), cpus, mem, gpus, req_nodes, exclusive)
-                started.append(int(j))
-                self.last_backfilled += 1
-            elif np.all(req <= extra + 1e-9):
-                # Fits in resources the reservation will not need.
-                ledger.allocate_job(int(j), cpus, mem, gpus, req_nodes, exclusive)
-                extra = extra - req
-                started.append(int(j))
-                self.last_backfilled += 1
-
-        for j in started:
-            pending.remove(j)
-        return started
-
-    def _shadow(
-        self,
-        t: float,
-        jobs: np.ndarray,
-        running: list[int],
-        ledger: PoolLedger,
-        need_cpus: float,
-        need_mem: float,
-        need_gpus: float,
-    ) -> tuple[float, np.ndarray]:
-        """Reservation for the blocked head job.
-
-        Walk running jobs in expected-completion order (start + timelimit —
-        the scheduler cannot see actual runtimes), accumulating released
-        resources until the head job fits.  Returns ``(shadow_time,
-        extra)`` where ``extra`` is what remains free at the shadow time
-        beyond the head job's needs.  If the head can never fit (should not
-        happen for validated requests), the shadow is ``inf`` and everything
-        currently free is backfillable.
-        """
-        free = np.array([ledger.free_cpus, ledger.free_mem, ledger.free_gpus])
-        need = np.array([need_cpus, need_mem, need_gpus])
-        if not running:
-            return np.inf, free.copy()
-        ridx = np.asarray(running, dtype=np.intp)
-        expected_end = jobs["start_time"][ridx] + jobs["timelimit_min"][ridx] * 60.0
-        expected_end = np.maximum(expected_end, t)  # overrunning jobs end "now"
-        order = np.argsort(expected_end, kind="stable")
-        avail = free.copy()
-        for k in order:
-            j = ridx[k]
-            avail += np.array(
-                [
-                    float(jobs["req_cpus"][j]),
-                    float(jobs["req_mem_gb"][j]),
-                    float(jobs["req_gpus"][j]),
-                ]
-            )
-            if np.all(need <= avail + 1e-9):
-                return float(expected_end[k]), avail - need
-        return np.inf, free.copy()
-
-
 class VectorBackfillScheduler:
     """EASY backfill over pre-gathered job-attribute arrays.
 
-    The fast engine's counterpart of :class:`BackfillScheduler`: same
-    algorithm, same pass semantics, but the per-job scalar pulls from the
-    structured submission array are replaced by contiguous float64 arrays
+    Same algorithm and pass semantics as the reference scalar pass, but
+    the per-job scalar pulls from the structured submission array are
+    replaced by contiguous float64 arrays
     gathered once per pass, the greedy head phase by one fit test over
     cumulative free-resource chains, the shadow walk by an early-exit
     scan of an incrementally-sorted release schedule, and the backfill
@@ -284,7 +126,7 @@ class VectorBackfillScheduler:
     reproduces the sequential ``+=``/``-=`` exactly), priorities come
     from :class:`~repro.slurm.priority.CachedPriority`, and running-set
     ties resolve on the caller's monotone start counter — which equals
-    the reference engine's list insertion order.
+    the reference's running-list insertion order.
 
     The caller reports every start and end via :meth:`schedule_insert` /
     :meth:`schedule_remove`, which keep a per-pool release schedule
@@ -489,11 +331,10 @@ class VectorBackfillScheduler:
     ) -> list[int]:
         """Reference-shaped scalar pass for short ready queues.
 
-        Mirrors :meth:`BackfillScheduler.run_pass` operation for
-        operation — scalar priorities, a tuple sort on the same
-        ``(-priority, eligibility, job id)`` key, greedy head walk,
-        bounded backfill scan — because NumPy's per-call dispatch
-        overhead dominates at these sizes.
+        Mirrors the reference pass operation for operation — scalar
+        priorities, a tuple sort on the same ``(-priority, eligibility,
+        job id)`` key, greedy head walk, bounded backfill scan — because
+        NumPy's per-call dispatch overhead dominates at these sizes.
         """
         req_c = self._req_c_l
         req_m = self._req_m_l
@@ -645,7 +486,7 @@ class VectorBackfillScheduler:
         Returns ``(shadow_time, extra_c, extra_m, extra_g)``.  Walks the
         incrementally-maintained release schedule — running jobs in
         expected-completion order, ties broken by start sequence = the
-        reference engine's insertion order — accumulating freed
+        reference's running-list insertion order — accumulating freed
         resources with the same left-associated scalar ``avail +=``
         chain and early exit as the reference walk, on the same IEEE
         doubles.  The schedule is kept sorted by :meth:`schedule_insert`

@@ -7,19 +7,14 @@ side.  The result converts to a :class:`~repro.data.schema.JobSet`
 accounting trace identical in shape to what the paper extracted from
 Slurm's ``sacct``.
 
-Two engines produce bitwise-identical traces (``REPRO_SIM_ENGINE`` /
-``Simulator(engine=...)``):
-
-- ``fast`` (default) — an indexed lazy-deletion event queue
-  (:class:`~repro.slurm.queue.EventQueue`), O(1) swap-remove
-  pending/running sets (:class:`~repro.slurm.queue.JobPool`), cached
-  incremental priorities and the vectorised backfill pass
-  (:class:`~repro.slurm.scheduler.VectorBackfillScheduler`).
-- ``reference`` — the original straight-line implementation: a plain
-  binary heap of (time, seq, kind, job, attempt) tuples, Python index
-  lists and the scalar scheduling pass.  It exists as the determinism
-  oracle; CI runs the scheduling suites under it and the equivalence
-  suite asserts trace equality against ``fast``.
+One engine runs the loop: an indexed lazy-deletion event queue
+(:class:`~repro.slurm.queue.EventQueue`), O(1) swap-remove
+pending/running sets (:class:`~repro.slurm.queue.JobPool`), cached
+incremental priorities and the vectorised backfill pass
+(:class:`~repro.slurm.scheduler.VectorBackfillScheduler`).  Its traces
+are pinned bit for bit against the original straight-line engine, which
+lives on as a test oracle (``tests/oracles/reference_sim.py``) and
+overrides only :meth:`Simulator._event_loop`.
 
 The event loop has three event kinds — a job becoming *eligible*, a job
 *ending*, and a requeue hold *releasing* — and runs a scheduling pass
@@ -30,8 +25,6 @@ vectorised gathers, not object traversals.
 
 from __future__ import annotations
 
-import heapq
-import os
 import time
 from dataclasses import dataclass
 
@@ -44,19 +37,13 @@ from repro.slurm.nodes import NodeLedger
 from repro.slurm.priority import CachedPriority, MultifactorPriority, PriorityWeights
 from repro.slurm.queue import EventQueue, JobPool
 from repro.slurm.resources import Cluster
-from repro.slurm.scheduler import (
-    BackfillScheduler,
-    PoolLedger,
-    VectorBackfillScheduler,
-)
+from repro.slurm.scheduler import PoolLedger, VectorBackfillScheduler
 from repro.utils.logging import get_logger
 
 __all__ = [
     "SUBMISSION_DTYPE",
-    "SIM_ENGINES",
     "Simulator",
     "SimulationResult",
-    "resolve_sim_engine",
 ]
 
 log = get_logger(__name__)
@@ -87,25 +74,6 @@ _SIM_DTYPE = np.dtype(SUBMISSION_DTYPE.descr + [("start_time", np.float64), ("en
 _EV_ELIGIBLE = 0
 _EV_END = 1
 _EV_RELEASE = 2  # a requeue hold expired; re-run the pool's scheduler
-
-#: Valid simulation engines; ``fast`` is the default, ``reference`` the
-#: bitwise-identical original kept as the determinism oracle.
-SIM_ENGINES = ("fast", "reference")
-
-
-def resolve_sim_engine(engine: str | None) -> str:
-    """``None`` defers to the ``REPRO_SIM_ENGINE`` env knob (default ``fast``).
-
-    Mirrors ``repro.ml.binning.resolve_tree_method``: CI runs the
-    scheduling suites once per engine by exporting the variable, and
-    explicit arguments always win over the environment.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SIM_ENGINE", "fast")
-    if engine not in SIM_ENGINES:
-        raise ValueError(f"sim engine must be one of {SIM_ENGINES}, got {engine!r}")
-    return engine
-
 
 @dataclass(frozen=True)
 class PreemptionPolicy:
@@ -205,9 +173,6 @@ class Simulator:
         Per-pass backfill scan bound.
     fairshare_half_life_s:
         Usage decay half-life.
-    engine:
-        ``fast`` | ``reference`` | None (defer to ``REPRO_SIM_ENGINE``).
-        Both engines produce bitwise-identical traces.
     """
 
     def __init__(
@@ -219,21 +184,19 @@ class Simulator:
         fairshare_half_life_s: float = 14 * 24 * 3600.0,
         preemption: "PreemptionPolicy | None" = None,
         node_level: bool = False,
-        engine: str | None = None,
     ) -> None:
         self.cluster = cluster
         self.fairshare = FairShareTracker(n_users, half_life_s=fairshare_half_life_s)
         self.priority = MultifactorPriority(cluster, self.fairshare, weights)
-        exclusive = np.array(
+        #: Per-pass backfill scan bound (Slurm's ``bf_max_job_test``).
+        self.backfill_depth = backfill_depth
+        #: Per-partition whole-node flags (used in node-level mode).
+        self.exclusive_by_partition = np.array(
             [p.exclusive for p in cluster.partitions], dtype=bool
-        )
-        self.scheduler = BackfillScheduler(
-            self.priority, backfill_depth, exclusive_by_partition=exclusive
         )
         self.preemption = preemption
         #: Fragmentation-aware per-node placement (see repro.slurm.nodes).
         self.node_level = node_level
-        self.engine = resolve_sim_engine(engine)
 
     # ------------------------------------------------------------------ #
     def run(self, submissions: np.ndarray) -> SimulationResult:
@@ -243,9 +206,7 @@ class Simulator:
         eventually starts (requests are validated as satisfiable up front);
         the simulation drains all events.
         """
-        with tracing.span(
-            "simulate", jobs=len(submissions), engine=self.engine
-        ):
+        with tracing.span("simulate", jobs=len(submissions)):
             return self._run(submissions)
 
     def _run(self, submissions: np.ndarray) -> SimulationResult:
@@ -263,10 +224,7 @@ class Simulator:
         self._validate(jobs)
         mx = _Metrics()
         t0 = time.perf_counter()
-        if self.engine == "reference":
-            result = self._run_reference(jobs, mx)
-        else:
-            result = self._run_fast(jobs, mx)
+        result = self._event_loop(jobs, mx)
         elapsed = time.perf_counter() - t0
         mx.jobs_per_second.set(n / elapsed if elapsed > 0 else 0.0)
         return result
@@ -283,10 +241,10 @@ class Simulator:
         ]
 
     # ------------------------------------------------------------------ #
-    # Fast engine: lazy-deletion event queue, swap-remove pools,
+    # Event loop: lazy-deletion event queue, swap-remove pools,
     # incremental priorities, vectorised scheduling pass.
     # ------------------------------------------------------------------ #
-    def _run_fast(self, jobs: np.ndarray, mx: _Metrics) -> SimulationResult:
+    def _event_loop(self, jobs: np.ndarray, mx: _Metrics) -> SimulationResult:
         n = len(jobs)
         part_pool = self.cluster.partition_pool_ids()
         pool_of_job = part_pool[jobs["partition"].astype(np.intp)]
@@ -309,22 +267,17 @@ class Simulator:
         qos = jobs["qos"].astype(np.int64)
         start_arr = np.full(n, -1.0, dtype=np.float64)
         end_arr = np.full(n, -1.0, dtype=np.float64)
-        # Global start counter: equals the reference engine's running-list
-        # insertion order, so every tie the reference breaks positionally
+        # Global start counter: equals the reference oracle's running-list
+        # insertion order, so every tie the oracle breaks positionally
         # (shadow release schedule, victim selection) breaks identically.
         start_seq = np.zeros(n, dtype=np.int64)
         next_seq = 0
-        if self.scheduler.exclusive_by_partition is not None:
-            excl = self.scheduler.exclusive_by_partition[
-                jobs["partition"].astype(np.intp)
-            ]
-        else:
-            excl = np.zeros(n, dtype=bool)
+        excl = self.exclusive_by_partition[jobs["partition"].astype(np.intp)]
 
         cached = CachedPriority(self.priority, jobs)
         vsched = VectorBackfillScheduler(
             cached,
-            self.scheduler.backfill_depth,
+            self.backfill_depth,
             job_ids=jobs["job_id"].astype(np.int64),
             eligible=elig,
             req_cpus=req_c,
@@ -347,9 +300,9 @@ class Simulator:
         def preempt(pool: int, ledger: PoolLedger) -> list[int]:
             """Evict lower-QOS running jobs for a blocked preemptor head.
 
-            Same policy as the reference engine's ``_maybe_preempt``; the
-            victim's stale END event is tombstoned in the queue instead
-            of being attempt-tagged.
+            Victims go most recently started first until the head fits;
+            each victim's stale END event is tombstoned in the queue and
+            the victim requeues from scratch.
             """
             head = vsched.last_blocked
             run_pool = running[pool]
@@ -499,135 +452,6 @@ class Simulator:
         return self._finish(jobs, prio_at_elig, n_passes, n_preemptions)
 
     # ------------------------------------------------------------------ #
-    # Reference engine: the original straight-line implementation, kept
-    # as the determinism oracle for the fast engine.
-    # ------------------------------------------------------------------ #
-    def _run_reference(self, jobs: np.ndarray, mx: _Metrics) -> SimulationResult:
-        n = len(jobs)
-        part_pool = self.cluster.partition_pool_ids()
-        pool_of_job = part_pool[jobs["partition"].astype(np.intp)]
-        ledgers = self._make_ledgers()
-        pending: list[list[int]] = [[] for _ in self.cluster.pools]
-        running: list[list[int]] = [[] for _ in self.cluster.pools]
-        prio_at_elig = np.zeros(n, dtype=np.float64)
-
-        # END events carry the job's attempt number so a preempted job's
-        # stale completion is ignored (the requeue bumps the attempt).
-        attempt = np.zeros(n, dtype=np.int32)
-        # Requeued victims are held until this time before rescheduling.
-        hold_until = np.zeros(n, dtype=np.float64)
-        n_preemptions = 0
-
-        heap: list[tuple[float, int, int, int, int]] = []
-        seq = 0
-        for j in np.argsort(jobs["eligible_time"], kind="stable"):
-            heap.append(
-                (float(jobs["eligible_time"][j]), seq, _EV_ELIGIBLE, int(j), 0)
-            )
-            seq += 1
-        heapq.heapify(heap)
-
-        n_passes = 0
-        t = 0.0
-        while heap:
-            t = heap[0][0]
-            dirty: set[int] = set()
-            newly_eligible: list[int] = []
-            # Drain all events at this timestamp before scheduling.
-            while heap and heap[0][0] <= t + 1e-9:
-                _, _, kind, j, ev_attempt = heapq.heappop(heap)
-                pool = int(pool_of_job[j])
-                if kind == _EV_ELIGIBLE:
-                    pending[pool].append(j)
-                    newly_eligible.append(j)
-                elif kind == _EV_RELEASE:
-                    pass  # hold expired: just mark the pool dirty below
-                else:  # _EV_END
-                    if ev_attempt != attempt[j]:
-                        continue  # stale: the job was preempted mid-run
-                    running[pool].remove(j)
-                    ledgers[pool].release_job(
-                        int(j),
-                        float(jobs["req_cpus"][j]),
-                        float(jobs["req_mem_gb"][j]),
-                        float(jobs["req_gpus"][j]),
-                    )
-                    run_s = jobs["end_time"][j] - jobs["start_time"][j]
-                    self.fairshare.add_usage(
-                        int(jobs["user_id"][j]),
-                        float(jobs["req_cpus"][j]) * float(run_s),
-                        t,
-                    )
-                dirty.add(pool)
-
-            if newly_eligible:
-                ne = np.asarray(newly_eligible, dtype=np.intp)
-                prio_at_elig[ne] = self.priority.compute(
-                    t,
-                    eligible_time=jobs["eligible_time"][ne],
-                    user_ids=jobs["user_id"][ne],
-                    partitions=jobs["partition"][ne],
-                    req_cpus=jobs["req_cpus"][ne].astype(np.float64),
-                    qos=jobs["qos"][ne],
-                )
-
-            mx.queue.set(float(sum(len(p) for p in pending)))
-            mx.running.set(float(sum(len(r) for r in running)))
-
-            # Sorted: set iteration order is unspecified, and multi-pool
-            # batches must replay identically across runs (fair-share
-            # charges are order-sensitive at equal timestamps).
-            for pool in sorted(dirty):
-                # Jobs under a requeue hold sit out this pool's passes;
-                # started jobs leave ``ready`` inside run_pass and evicted
-                # jobs are held past ``t``, so one filter per pool
-                # suffices — no rebuild inside the requeue-hold loop.
-                if self.preemption is not None:
-                    ready = [j for j in pending[pool] if hold_until[j] <= t]
-                else:
-                    ready = pending[pool]
-                while True:
-                    mx.depth.observe(float(len(ready)))
-                    started = self.scheduler.run_pass(
-                        t, jobs, ready, running[pool], ledgers[pool]
-                    )
-                    n_passes += 1
-                    mx.passes.inc()
-                    mx.started.inc(len(started))
-                    mx.backfilled.inc(self.scheduler.last_backfilled)
-                    if ready is not pending[pool]:
-                        for j in started:
-                            pending[pool].remove(j)
-                    for j in started:
-                        # Event batching groups times within 1e-9 s; clamp
-                        # so a job never starts before its own eligibility.
-                        start = max(t, float(jobs["eligible_time"][j]))
-                        jobs["start_time"][j] = start
-                        end = start + self._effective_runtime_s(jobs, j)
-                        jobs["end_time"][j] = end
-                        running[pool].append(j)
-                        heapq.heappush(
-                            heap, (float(end), seq, _EV_END, j, int(attempt[j]))
-                        )
-                        seq += 1
-                    evicted = self._maybe_preempt(
-                        t, jobs, pending[pool], running[pool], ledgers[pool], attempt
-                    )
-                    if not evicted:
-                        break
-                    n_preemptions += len(evicted)
-                    mx.preempted.inc(len(evicted))
-                    release = t + self.preemption.requeue_hold_s
-                    for j in evicted:
-                        hold_until[j] = release
-                    heapq.heappush(
-                        heap, (float(release), seq, _EV_RELEASE, int(evicted[0]), 0)
-                    )
-                    seq += 1
-
-        return self._finish(jobs, prio_at_elig, n_passes, n_preemptions)
-
-    # ------------------------------------------------------------------ #
     def _finish(
         self,
         jobs: np.ndarray,
@@ -654,76 +478,6 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _maybe_preempt(
-        self,
-        t: float,
-        jobs: np.ndarray,
-        pending: list[int],
-        running: list[int],
-        ledger,
-        attempt: np.ndarray,
-    ) -> list[int]:
-        """Evict lower-QOS running jobs for a blocked preemptor head.
-
-        Returns the requeued victims (empty = nothing to do).  The caller
-        re-runs the scheduling pass afterwards so the head starts into the
-        freed resources, and holds the victims briefly so they cannot
-        backfill straight back into the gap.
-        """
-        policy = self.preemption
-        head = self.scheduler.last_blocked
-        if policy is None or head is None or not running:
-            return []
-        head_qos = int(jobs["qos"][head])
-        if head_qos < policy.min_preemptor_qos:
-            return []
-        victims = [j for j in running if int(jobs["qos"][j]) < head_qos]
-        if not victims:
-            return []
-        # Most recently started first: minimises wasted work.  Stable
-        # argsort over the gathered start times keeps the running-list
-        # tiebreak of the equivalent per-victim key sort.
-        starts = jobs["start_time"][np.asarray(victims, dtype=np.intp)]
-        victims = [victims[k] for k in np.argsort(-starts, kind="stable")]
-        need = (
-            float(jobs["req_cpus"][head]),
-            float(jobs["req_mem_gb"][head]),
-            float(jobs["req_gpus"][head]),
-        )
-        evicted: list[int] = []
-        for j in victims:
-            if ledger.fits(*need) or len(evicted) >= policy.max_victims_per_pass:
-                break
-            running.remove(j)
-            ledger.release_job(
-                int(j),
-                float(jobs["req_cpus"][j]),
-                float(jobs["req_mem_gb"][j]),
-                float(jobs["req_gpus"][j]),
-            )
-            # Charge the wasted partial run to fair-share; requeue from
-            # scratch with a bumped attempt so the old END event is stale.
-            self.fairshare.add_usage(
-                int(jobs["user_id"][j]),
-                float(jobs["req_cpus"][j]) * max(t - float(jobs["start_time"][j]), 0.0),
-                t,
-            )
-            attempt[j] += 1
-            jobs["start_time"][j] = -1.0
-            jobs["end_time"][j] = -1.0
-            pending.append(j)
-            evicted.append(int(j))
-        # If victims ran out before the head fits, the evictions stand and
-        # the head keeps waiting (Slurm behaves the same under REQUEUE).
-        return evicted
-
-    # ------------------------------------------------------------------ #
-    def _effective_runtime_s(self, jobs: np.ndarray, j: int) -> float:
-        """Actual runtime, clipped to the timelimit (TIMEOUT kills)."""
-        runtime = float(jobs["runtime_min"][j])
-        limit = float(jobs["timelimit_min"][j])
-        return min(runtime, limit) * 60.0
-
     def _validate(self, jobs: np.ndarray) -> None:
         """Reject unsatisfiable requests before the event loop starts."""
         part_pool = self.cluster.partition_pool_ids()

@@ -1,7 +1,7 @@
 """Shared utilities: seeding, parallelism, timing, logging, validation."""
 
 from repro.utils.rng import SeedSequenceFactory, default_rng, spawn_rngs
-from repro.utils.timing import Timer, timed
+from repro.utils.timing import Timer
 from repro.utils.parallel import chunk_indices, parallel_map
 from repro.utils.validation import (
     check_1d,
@@ -16,7 +16,6 @@ __all__ = [
     "default_rng",
     "spawn_rngs",
     "Timer",
-    "timed",
     "chunk_indices",
     "parallel_map",
     "check_1d",

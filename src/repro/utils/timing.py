@@ -9,15 +9,10 @@ behind a flag.  For structured, nested timing use
 
 from __future__ import annotations
 
-import functools
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
 
-__all__ = ["Timer", "timed"]
-
-F = TypeVar("F", bound=Callable[..., Any])
+__all__ = ["Timer"]
 
 
 @dataclass
@@ -58,29 +53,3 @@ class Timer:
     def mean(self) -> float:
         """Mean seconds per lap (0.0 before any lap completes)."""
         return self.elapsed / self.laps if self.laps else 0.0
-
-
-def timed(fn: F) -> F:
-    """Deprecated — use :func:`repro.obs.tracing.span` instead.
-
-    The ``last_elapsed`` attribute this decorator attaches is shared
-    mutable state: concurrent or re-entrant calls race on it, and reading
-    it after a second call silently reports the wrong region.  Spans carry
-    their timing in the record they return, so none of that can happen.
-    """
-    warnings.warn(
-        "repro.utils.timing.timed is deprecated; wrap the call in "
-        "repro.obs.tracing.span(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        wrapper.last_elapsed = time.perf_counter() - t0  # type: ignore[attr-defined]
-        return out
-
-    wrapper.last_elapsed = 0.0  # type: ignore[attr-defined]
-    return wrapper  # type: ignore[return-value]

@@ -85,6 +85,8 @@ def generate_submissions(
     """
     if config.n_jobs <= 0:
         raise ValueError(f"n_jobs must be positive, got {config.n_jobs}")
+    if not (np.isfinite(config.load) and config.load > 0):
+        raise ValueError(f"load must be positive and finite, got {config.load}")
     rng = default_rng(config.seed)
     n_users = config.resolved_n_users()
 
@@ -213,14 +215,11 @@ def generate_trace(
     config: WorkloadConfig,
     cluster: Cluster | None = None,
     weights: PriorityWeights | None = None,
-    engine: str | None = None,
 ) -> tuple[SimulationResult, Cluster]:
     """Generate submissions and run them through the simulator.
 
     Returns the :class:`SimulationResult` (trace ordered by eligibility)
-    and the cluster used.  ``engine`` picks the simulation engine
-    (``fast``/``reference``/None = defer to ``REPRO_SIM_ENGINE``); both
-    engines produce bitwise-identical traces.
+    and the cluster used.
     """
     import dataclasses
 
@@ -235,7 +234,7 @@ def generate_trace(
         n_total = int(np.ceil(n_keep / (1.0 - config.warmup_fraction)))
         config = dataclasses.replace(config, n_jobs=n_total, warmup_fraction=0.0)
     table, pop = generate_submissions(config, cluster)
-    sim = Simulator(cluster, n_users=pop.n_users, weights=weights, engine=engine)
+    sim = Simulator(cluster, n_users=pop.n_users, weights=weights)
     result = sim.run(table)
     if len(result.jobs) > n_keep:
         # Trace is eligibility-ordered; keep the most recent n_keep jobs.

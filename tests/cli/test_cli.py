@@ -28,6 +28,14 @@ def test_parser_subcommands():
     assert args.command == "simulate"
     with pytest.raises(SystemExit):
         p.parse_args([])  # subcommand required
+    with pytest.raises(SystemExit):  # one simulator: no engine switch
+        p.parse_args(["simulate", "--out", "x.swf", "--sim-engine", "fast"])
+
+
+@pytest.mark.parametrize("load", ["0", "-1"])
+def test_simulate_rejects_non_positive_load(load, tmp_path):
+    with pytest.raises(ValueError, match="load"):
+        main(["simulate", "--load", load, "--out", str(tmp_path / "t.swf")])
 
 
 def test_simulate_writes_valid_trace(workspace):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import TroutConfig
 from repro.core.config import ClassifierConfig, RegressorConfig
-from repro.eval.comparison import ComparisonResult, ModelScore, compare_models
+from repro.core.zoo import ComparisonResult, ModelScore, compare_models
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def comparison(feature_matrix):
         regressor=RegressorConfig(hidden=(32, 16), epochs=15, patience=3), seed=0
     )
     # Small zoo on the last two folds keeps the test quick.
-    from repro.eval.comparison import default_model_zoo
+    from repro.core.zoo import default_model_zoo
 
     zoo = default_model_zoo(fm.X.shape[1], cfg, seed=0)
     zoo["xgboost"] = (lambda inner: (lambda k: inner(k)))(zoo["xgboost"])

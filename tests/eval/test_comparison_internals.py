@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TroutConfig, TuningConfig
-from repro.eval.comparison import _LogSpaceModel, _TunedNN, default_model_zoo
+from repro.core.zoo import _LogSpaceModel, _TunedNN, default_model_zoo
 from repro.ml import KNeighborsRegressor
 
 

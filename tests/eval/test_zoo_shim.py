@@ -1,56 +1,20 @@
-"""The model zoo lives in ``repro.core.zoo``; ``repro.eval.comparison``
-is a lazy re-export shim kept for backwards compatibility.  These tests
-pin both halves of that contract: old import paths still work and return
-the *same* objects, and merely importing the eval layer no longer drags
-in the core layer (the IMP001 inversion the move fixed)."""
+"""The model zoo lives in ``repro.core.zoo`` because it builds core
+regressors.  Importing the eval layer must therefore not drag in the
+core layer; troutlint's IMP001 checks each module's own imports, and
+this test checks the whole import closure of ``repro.eval``."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
 
-import pytest
-
-SHIM_NAMES = (
-    "ModelScore",
-    "ComparisonResult",
-    "compare_models",
-    "default_model_zoo",
-)
-
-
-def test_shim_attributes_are_the_zoo_objects():
-    import repro.core.zoo as zoo
-    import repro.eval.comparison as comparison
-
-    for name in SHIM_NAMES:
-        assert getattr(comparison, name) is getattr(zoo, name)
-
-
-def test_shim_dir_advertises_the_public_names():
-    import repro.eval.comparison as comparison
-
-    assert set(SHIM_NAMES) <= set(dir(comparison))
-
-
-def test_shim_unknown_attribute_raises_attribute_error():
-    import repro.eval.comparison as comparison
-
-    with pytest.raises(AttributeError, match="does_not_exist"):
-        comparison.does_not_exist
-
 
 def test_importing_eval_does_not_import_core():
-    """The shim defers its ``repro.core.zoo`` import to first attribute
-    access, so the eval layer is importable without the core layer."""
     code = (
         "import sys\n"
         "import repro.eval\n"
-        "import repro.eval.comparison\n"
         "core = [m for m in sys.modules if m.startswith('repro.core')]\n"
         "assert not core, f'eval import pulled in {core}'\n"
-        "repro.eval.comparison.default_model_zoo\n"
-        "assert 'repro.core.zoo' in sys.modules\n"
     )
     subprocess.run(
         [sys.executable, "-c", code], check=True, timeout=120

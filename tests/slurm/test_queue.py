@@ -1,7 +1,7 @@
-"""Unit tests for the fast engine's data structures.
+"""Unit tests for the simulator event loop's data structures.
 
 :class:`EventQueue` (indexed lazy-deletion heap) and :class:`JobPool`
-(swap-remove membership set) carry the fast engine's determinism
+(swap-remove membership set) carry the event loop's determinism
 contract, so their edge cases — tombstoning, supersession, drain
 ordering, version bumps — are pinned here independently of any
 simulation scenario.

@@ -1,6 +1,6 @@
 """Simulator observability: throughput gauge and tombstone counter.
 
-The fast engine reports wall-clock throughput (``sim_jobs_per_second``)
+The simulator reports wall-clock throughput (``sim_jobs_per_second``)
 and lazy-deletion pressure (``sim_events_tombstoned_total``); both feed
 the a16 benchmark gate and the serving dashboards, so their wiring is
 pinned here against the process-wide registry.
@@ -39,7 +39,7 @@ def test_jobs_per_second_gauge_set_after_run(registry):
         dict(submit_time=float(i), req_cpus=10, timelimit_min=5.0, runtime_min=1.0)
         for i in range(20)
     ]
-    Simulator(tiny_cluster(), n_users=4, engine="fast").run(make_subs(rows))
+    Simulator(tiny_cluster(), n_users=4).run(make_subs(rows))
     assert _metric_value(registry, "sim_jobs_per_second") > 0.0
 
 
@@ -58,7 +58,6 @@ def test_tombstone_counter_bumps_under_preemption(registry):
         tiny_cluster(),
         n_users=4,
         preemption=PreemptionPolicy(min_preemptor_qos=2),
-        engine="fast",
     ).run(make_subs(rows))
     assert res.n_preemptions > 0
     assert _metric_value(registry, "sim_events_tombstoned_total") >= res.n_preemptions
@@ -68,5 +67,5 @@ def test_tombstone_counter_stays_zero_without_preemption(registry):
     rows = [
         dict(submit_time=0.0, req_cpus=10, timelimit_min=5.0, runtime_min=1.0)
     ]
-    Simulator(tiny_cluster(), n_users=4, engine="fast").run(make_subs(rows))
+    Simulator(tiny_cluster(), n_users=4).run(make_subs(rows))
     assert _metric_value(registry, "sim_events_tombstoned_total") == 0.0

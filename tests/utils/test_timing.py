@@ -2,9 +2,7 @@
 
 import time
 
-import pytest
-
-from repro.utils.timing import Timer, timed
+from repro.utils.timing import Timer
 
 
 def test_timer_accumulates_laps():
@@ -40,15 +38,3 @@ def test_timer_reentrant_nested_blocks():
     # inner (~2 ms) + outer (~6 ms, containing the inner) >= 8 ms; the
     # clobbered version records only inner + ~0 instead.
     assert t.elapsed >= 0.007
-
-
-def test_timed_decorator_records_elapsed_and_warns():
-    with pytest.warns(DeprecationWarning, match="tracing.span"):
-
-        @timed
-        def work(n):
-            time.sleep(0.002)
-            return n * 2
-
-    assert work(21) == 42
-    assert work.last_elapsed >= 0.001

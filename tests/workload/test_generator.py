@@ -83,6 +83,17 @@ def test_n_jobs_validation():
         generate_submissions(WorkloadConfig(n_jobs=0), anvil_cluster(0.05))
 
 
+@pytest.mark.parametrize("load", [0.0, -1.0, float("nan"), float("inf")])
+def test_load_validation(load):
+    # Rejected up front: load = 0 divides the trace duration by zero, and
+    # a negative load squeezes the whole trace into one hour, which the
+    # simulator never finishes draining.
+    with pytest.raises(ValueError, match="load"):
+        generate_submissions(
+            WorkloadConfig(n_jobs=100, load=load), anvil_cluster(0.05)
+        )
+
+
 def test_resolved_n_users():
     assert WorkloadConfig(n_jobs=1000).resolved_n_users() == 50
     assert WorkloadConfig(n_jobs=120_000).resolved_n_users() == 200
