@@ -13,6 +13,7 @@ from benchmarks.conftest import emit, once
 from repro.core.config import RuntimeModelConfig
 from repro.core.runtime_model import RuntimePredictor
 from repro.eval.report import format_table
+from tests.oracles import exact_runtime_model
 
 
 def test_a4_runtime_model_ablation(benchmark, bench_trace):
@@ -30,9 +31,10 @@ def test_a4_runtime_model_ablation(benchmark, bench_trace):
         ext = RuntimePredictor(
             RuntimeModelConfig(n_estimators=30), seed=0, features="request+user"
         ).fit(train)
-        exact = RuntimePredictor(
-            RuntimeModelConfig(n_estimators=30, tree_method="exact"), seed=0
-        ).fit(train)
+        with exact_runtime_model():
+            exact = RuntimePredictor(
+                RuntimeModelConfig(n_estimators=30), seed=0
+            ).fit(train)
         return base, ext, exact
 
     base, ext, exact = once(benchmark, fit_all)
@@ -55,7 +57,7 @@ def test_a4_runtime_model_ablation(benchmark, bench_trace):
                         ["requested timelimit (scheduler's view)", err_limit],
                         ["RF, request features (paper's model)", err_base],
                         ["RF + user history (§V extension)", err_ext],
-                        ["RF, exact split search (reference)", err_exact],
+                        ["RF, exact split search (test oracle)", err_exact],
                     ],
                     float_fmt="{:.4f}",
                 ),

@@ -44,9 +44,7 @@ import numpy as np
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.core import TroutConfig, TroutModel, train_trout
-from repro.core.config import RuntimeModelConfig
 from repro.core.training import build_feature_matrix
-from repro.ml.binning import TREE_METHODS
 from repro.nn.dtypes import NN_DTYPES
 from repro.data.schema import JOB_DTYPE, JobSet
 from repro.data.stats import format_statistics_table, job_statistics
@@ -115,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="on-disk feature cache directory (reused across runs; "
         "content-hash keyed, so stale entries are impossible)",
-    )
-    tr.add_argument(
-        "--tree-method",
-        choices=TREE_METHODS,
-        default=None,
-        help="split search for the runtime-model forest "
-        "(default: $REPRO_TREE_METHOD or hist)",
     )
     tr.add_argument(
         "--nn-dtype",
@@ -300,7 +291,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TroutConfig(
         cutoff_min=args.cutoff_min,
         seed=args.seed,
-        runtime_model=RuntimeModelConfig(tree_method=args.tree_method),
         nn_dtype=args.nn_dtype,
     )
     try:

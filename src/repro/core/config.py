@@ -79,8 +79,6 @@ class RuntimeModelConfig:
     max_depth: int = 12
     min_samples_leaf: int = 4
     n_jobs: int = 1
-    #: "hist" or "exact"; None defers to $REPRO_TREE_METHOD (default hist).
-    tree_method: str | None = None
 
 
 @dataclass

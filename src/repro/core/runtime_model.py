@@ -138,7 +138,6 @@ class RuntimePredictor:
             min_samples_leaf=cfg.min_samples_leaf,
             seed=self.seed,
             n_jobs=cfg.n_jobs,
-            tree_method=cfg.tree_method,
         ).fit(X, y)
         if self.features == "request+user":
             # Freeze each user's final training-time statistics.

@@ -10,7 +10,7 @@ define-by-run API surface at the scale this reproduction needs: a
 
 from repro.hpo.pruners import MedianPruner, TrialPruned
 from repro.hpo.samplers import RandomSampler, TPESampler
-from repro.hpo.space import Categorical, Float, Int, SearchSpace, tree_method_param
+from repro.hpo.space import Categorical, Float, Int, SearchSpace
 from repro.hpo.study import Study, Trial
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "TrialPruned",
     "Study",
     "Trial",
-    "tree_method_param",
 ]

@@ -12,9 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.ml.binning import TREE_METHODS
-
-__all__ = ["Float", "Int", "Categorical", "SearchSpace", "tree_method_param"]
+__all__ = ["Float", "Int", "Categorical", "SearchSpace"]
 
 
 @dataclass(frozen=True)
@@ -99,15 +97,6 @@ class Categorical:
     def to_unit(self, value: Any) -> float:
         k = self.choices.index(value)
         return (k + 0.5) / len(self.choices)
-
-
-def tree_method_param() -> "Categorical":
-    """Categorical over the ensemble split-search methods.
-
-    Sweeping it in a study quantifies the (small) quality delta between
-    histogram and exact split finding alongside the usual knobs.
-    """
-    return Categorical(TREE_METHODS)
 
 
 Param = Float | Int | Categorical

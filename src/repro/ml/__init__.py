@@ -12,13 +12,12 @@ runtime-prediction feature model:
 - :class:`~repro.ml.knn.KNeighborsRegressor` — KD-tree k-nearest-neighbour
   regression.
 
-All tree ensembles grow with histogram split finding by default
-(``tree_method="hist"``, see :mod:`repro.ml.binning`); the exact sorted
-search stays available as the reference implementation via
-``tree_method="exact"`` or ``REPRO_TREE_METHOD=exact``.
+All tree models grow with one histogram split search (see
+:mod:`repro.ml.binning`).  The exact sorted search it is checked against
+is a test oracle in ``tests/oracles/exact_tree.py``, not a product path.
 """
 
-from repro.ml.binning import TREE_METHODS, BinnedMatrix, resolve_tree_method
+from repro.ml.binning import BinnedMatrix
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
@@ -30,6 +29,4 @@ __all__ = [
     "GradientBoostingRegressor",
     "KNeighborsRegressor",
     "BinnedMatrix",
-    "TREE_METHODS",
-    "resolve_tree_method",
 ]

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_1d, check_2d, check_consistent_length
+from repro.utils.validation import (
+    check_1d,
+    check_2d,
+    check_consistent_length,
+    check_finite,
+)
 
 __all__ = ["Regressor"]
 
@@ -22,6 +27,8 @@ class Regressor:
         X = check_2d(X, "X")
         y = check_1d(y, "y")
         check_consistent_length(X, y)
+        check_finite(X, "X")
+        check_finite(y, "y")
         return X, y
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:

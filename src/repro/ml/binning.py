@@ -1,12 +1,14 @@
 """Feature binning for histogram-based tree growing.
 
 LightGBM-style split finding: each feature column is quantile-binned to
-``uint8`` codes once per ensemble fit, per-node (gradient, hessian, count)
+``uint8`` codes once per ensemble fit, per-node (gradient, count)
 statistics are accumulated into histograms with one ``np.bincount`` over a
 flattened (node, feature, bin) index, and every candidate threshold of
 every feature of every node is scored in a single cumulative-sum pass.
 Sibling histograms are obtained by subtraction (child = parent − other
-child), halving the accumulation work below the root.
+child), halving the accumulation work below the root.  Every tree here is
+grown on squared loss, whose hessian is 1 per row, so the count histogram
+doubles as the hessian histogram.
 
 Histograms use a *ragged* per-feature layout: feature ``f`` owns the
 ``n_bins[f]`` consecutive slots starting at ``offsets[f]``, so a node's
@@ -16,53 +18,31 @@ counts, …) then cost exactly their handful of bins — on the paper's
 feature matrices this shrinks every histogram pass several-fold.
 
 Thresholds are stored in *raw* feature space — midpoints between the bin
-upper bound and the next observed distinct value, with the same
-adjacent-float guard as the exact search — so fitted trees route unbinned
-prediction inputs exactly like exact-grown trees.  When a feature has at
-most ``max_bins`` distinct values, each value gets its own bin and the
-candidate set (and therefore the chosen split) coincides with the exact
-sorted search.
+upper bound and the next observed distinct value, guarded so routing on
+``<=`` never lands on the right-hand value — so fitted trees route
+unbinned prediction inputs directly.  When a feature has at most
+``max_bins`` distinct values, each value gets its own bin and the
+candidate set (and therefore the chosen split) coincides with an exact
+sorted search over every distinct value; ``tests/oracles/exact_tree.py``
+holds that search and the parity tests pin the two together.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_BINS",
-    "TREE_METHODS",
     "BinnedMatrix",
     "evaluate_splits",
     "grouped_histograms",
-    "resolve_tree_method",
     "sampled_histograms",
 ]
 
 #: uint8 codes — 256 bins is LightGBM's default and the dtype ceiling.
 DEFAULT_MAX_BINS = 256
-
-#: Valid ``tree_method`` values everywhere the knob is exposed.
-TREE_METHODS = ("hist", "exact")
-
-
-def resolve_tree_method(method: str | None) -> str:
-    """``None`` defers to the ``REPRO_TREE_METHOD`` env knob (default ``hist``).
-
-    Mirrors ``repro.features.pipeline.resolve_n_jobs``: CI runs the whole
-    suite once per method by exporting the variable, and explicit arguments
-    always win over the environment.
-    """
-    if method is None:
-        method = os.environ.get("REPRO_TREE_METHOD", "hist")
-    if method not in TREE_METHODS:
-        raise ValueError(
-            f"tree_method must be one of {TREE_METHODS}, got {method!r}"
-        )
-    return method
-
 
 def _bin_column(
     xf: np.ndarray, max_bins: int
@@ -184,19 +164,17 @@ def grouped_histograms(
     groups: np.ndarray | None,
     n_groups: int,
     g: np.ndarray,
-    h: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(grad, hess, count) histograms of shape ``(n_groups, W)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(grad, count) histograms of shape ``(n_groups, W)``.
 
-    ``rows`` index into ``bm``/``g``/``h`` (``None`` means every row, with
-    no gather); ``groups`` assigns each row to a histogram slot (``None``
+    ``rows`` index into ``bm``/``g`` (``None`` means every row, with no
+    gather); ``groups`` assigns each row to a histogram slot (``None``
     only with ``n_groups=1``).  One flattened ``np.bincount`` over a
     combined (group, feature-bin) index accumulates every group's every
     feature at once — this is what makes level-synchronous tree growth
     fast: the cost per tree level is ``O(live_rows × F)`` regardless of how
-    many nodes the level holds.  Pass ``h=None`` for unit hessians
-    (squared loss); the count histogram then doubles as the hessian
-    histogram.
+    many nodes the level holds.  The count histogram is also the hessian
+    histogram (squared loss has unit hessians).
     """
     f, w = bm.n_features, bm.width
     gc = bm.global_codes if rows is None else bm.global_codes[rows]
@@ -210,13 +188,7 @@ def grouped_histograms(
     grad = np.bincount(
         flat, weights=np.repeat(gw, f), minlength=size
     ).reshape(n_groups, w)
-    if h is None:
-        return grad, None, count
-    hw = h if rows is None else h[rows]
-    hess = np.bincount(
-        flat, weights=np.repeat(hw, f), minlength=size
-    ).reshape(n_groups, w)
-    return grad, hess, count
+    return grad, count
 
 
 def sampled_histograms(
@@ -225,9 +197,8 @@ def sampled_histograms(
     groups: np.ndarray,
     n_groups: int,
     g: np.ndarray,
-    h: np.ndarray | None,
     cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Histograms restricted to each group's sampled feature columns.
 
     ``cols`` is ``(n_groups, max_features)`` — the feature subset each
@@ -243,10 +214,8 @@ def sampled_histograms(
     size = n_groups * w
     base = groups * w
     gw = g[rows]
-    hw = None if h is None else h[rows]
     count = np.zeros(size, dtype=np.int64)
     grad = np.zeros(size)
-    hess = None if h is None else np.zeros(size)
     # One pass per sampled-column position keeps every intermediate 1-D
     # (and ``gw``/``base`` shared across positions) — much cheaper than
     # materialising the (live, mf) gathered-code block.
@@ -256,13 +225,7 @@ def sampled_histograms(
         flat = base + bm.global_codes[rows, cj]
         count += np.bincount(flat, minlength=size)
         grad += np.bincount(flat, weights=gw, minlength=size)
-        if hess is not None:
-            hess += np.bincount(flat, weights=hw, minlength=size)
-    count = count.reshape(n_groups, w)
-    grad = grad.reshape(n_groups, w)
-    if hess is None:
-        return grad, None, count
-    return grad, hess.reshape(n_groups, w), count
+    return grad.reshape(n_groups, w), count.reshape(n_groups, w)
 
 
 #: Below this many histogram entries per level the dense full-width scan
@@ -273,20 +236,20 @@ _MASKED_SCAN_MIN_ENTRIES = 1 << 15
 
 def evaluate_splits(
     grad: np.ndarray,
-    hess: np.ndarray,
     count: np.ndarray,
     bm: BinnedMatrix,
     min_leaf: int,
     lam: float,
     feat_mask: np.ndarray | None = None,
-    totals: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    totals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Best split per histogram group.
 
-    Returns ``(gain, feature, threshold, bin, left_grad, left_hess,
-    left_count)`` arrays, one entry per group; the ``left_*`` sums are the
-    chosen split's left-child statistics, which the builder turns into the
-    children's node values without re-scanning any rows.
+    Returns ``(gain, feature, threshold, bin, left_grad, left_count)``
+    arrays, one entry per group; the ``left_*`` sums are the chosen
+    split's left-child statistics, which the builder turns into the
+    children's node values without re-scanning any rows.  Counts serve as
+    hessians, so the gain is the second-order score with unit hessians.
 
     One cumulative sum per statistic scores every histogram slot of every
     group at once: within-feature prefix sums are the full cumsum minus a
@@ -296,28 +259,24 @@ def evaluate_splits(
     (ordered by feature, then bin) breaks ties the same way the exact
     search does — lowest feature index first, then lowest threshold.  Gain
     is ``-inf`` where no valid split exists.  ``feat_mask`` (groups, F)
-    restricts candidates to each group's sampled feature subset.  Pass
-    ``hess is count`` (the same object) for unit hessians; the hessian
-    cumsum is then skipped entirely.  ``totals`` supplies per-group
-    (grad, hess, count) node sums; it is **required** when the histograms
-    came from :func:`sampled_histograms` (unsampled slots are zero, so
-    totals cannot be recovered from the histograms themselves).
+    restricts candidates to each group's sampled feature subset.
+    ``totals`` supplies per-group (grad, count) node sums; it is
+    **required** when the histograms came from :func:`sampled_histograms`
+    (unsampled slots are zero, so totals cannot be recovered from the
+    histograms themselves).
     """
     k, w = grad.shape
-    unit = hess is count
     if not bm.col_cand.any():
         zero = np.zeros(k, dtype=np.intp)
         nan = np.full(k, np.nan)
         return (
             np.full(k, -np.inf), zero, np.zeros(k), zero.astype(np.int64),
-            nan, nan, nan,
+            nan, nan,
         )
     if feat_mask is not None and (
         totals is not None or k * w > _MASKED_SCAN_MIN_ENTRIES
     ):
-        return _masked_splits(
-            grad, hess, count, bm, min_leaf, lam, feat_mask, totals
-        )
+        return _masked_splits(grad, count, bm, min_leaf, lam, feat_mask, totals)
     ends = bm.offsets[1:] - 1  # last slot of each feature
     col_feat = bm.col_feat
 
@@ -333,11 +292,6 @@ def evaluate_splits(
     gl, g_tot = prefix(grad)
     cl, c_tot = prefix(count)
     cr = c_tot - cl
-    if unit:
-        hl, hr, h_tot = cl, cr, c_tot
-    else:
-        hl, h_tot = prefix(hess)
-        hr = h_tot - hl
     valid = (cl >= min_leaf) & (cr >= min_leaf)
     valid &= bm.col_cand[None, :]
     if feat_mask is not None:
@@ -348,16 +302,16 @@ def evaluate_splits(
     # (left + right) − parent evaluation order bit-for-bit.
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = gl * gl
-        gain /= hl + lam
+        gain /= cl + lam
         t = g_tot - gl
         t *= t
-        t /= hr + lam
+        t /= cr + lam
         gain += t
     gain[~valid] = -np.inf
     best = np.argmax(gain, axis=1)
     ar = np.arange(k)
     const = np.divide(
-        g_tot * g_tot, h_tot + lam,
+        g_tot * g_tot, c_tot + lam,
         out=np.zeros_like(g_tot), where=(c_tot > 0),
     ).ravel()
     return (
@@ -366,20 +320,18 @@ def evaluate_splits(
         bm.col_thr[best],
         bm.col_bin[best],
         gl[ar, best],
-        hl[ar, best],
         cl[ar, best],
     )
 
 
 def _masked_splits(
     grad: np.ndarray,
-    hess: np.ndarray,
     count: np.ndarray,
     bm: BinnedMatrix,
     min_leaf: int,
     lam: float,
     feat_mask: np.ndarray,
-    totals: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    totals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Feature-at-a-time split scan for feature-subsampled levels.
 
@@ -395,23 +347,20 @@ def _masked_splits(
     end.
     """
     k = grad.shape[0]
-    unit = hess is count
     off = bm.offsets
     best_gain = np.full(k, -np.inf)
     best_f = np.zeros(k, dtype=np.intp)
     best_thr = np.zeros(k)
     best_b = np.zeros(k, dtype=np.int64)
     lg = np.full(k, np.nan)
-    lh = np.full(k, np.nan)
     lc = np.full(k, np.nan)
     if totals is not None:
-        g_tot, h_tot, c_tot = totals
+        g_tot, c_tot = totals
     else:
         # Every row lands in exactly one bin of every feature, so feature
         # 0's slots alone sum to the per-node totals.
         g_tot = grad[:, off[0] : off[1]].sum(axis=1)
         c_tot = count[:, off[0] : off[1]].sum(axis=1)
-        h_tot = c_tot if unit else hess[:, off[0] : off[1]].sum(axis=1)
     for f in range(bm.n_features):
         nb = int(bm.n_bins[f])
         if nb < 2:
@@ -425,18 +374,13 @@ def _masked_splits(
         gl_f = np.cumsum(grad[sel, a:b], axis=1)[:, :-1]
         cl_f = np.cumsum(count[sel, a:b], axis=1)[:, :-1]
         cr_f = c_tot[sel, None] - cl_f
-        if unit:
-            hl_f, hr_f = cl_f, cr_f
-        else:
-            hl_f = np.cumsum(hess[sel, a:b], axis=1)[:, :-1]
-            hr_f = h_tot[sel, None] - hl_f
         valid = (cl_f >= min_leaf) & (cr_f >= min_leaf)
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = gl_f * gl_f
-            gain /= hl_f if lam == 0.0 else hl_f + lam
+            gain /= cl_f if lam == 0.0 else cl_f + lam
             t = g_tot[sel, None] - gl_f
             t *= t
-            t /= hr_f if lam == 0.0 else hr_f + lam
+            t /= cr_f if lam == 0.0 else cr_f + lam
             gain += t
         gain[~valid] = -np.inf
         bix = np.argmax(gain, axis=1)
@@ -453,10 +397,9 @@ def _masked_splits(
         best_b[us] = ub
         best_thr[us] = bm.col_thr[a + ub]
         lg[us] = gl_f[iu, ub]
-        lh[us] = hl_f[iu, ub]
         lc[us] = cl_f[iu, ub]
     const = np.divide(
-        g_tot * g_tot, h_tot + lam,
+        g_tot * g_tot, c_tot + lam,
         out=np.zeros_like(g_tot), where=(c_tot > 0),
     )
-    return best_gain - const, best_f, best_thr, best_b, lg, lh, lc
+    return best_gain - const, best_f, best_thr, best_b, lg, lc

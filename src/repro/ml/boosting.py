@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Regressor
-from repro.ml.binning import BinnedMatrix, resolve_tree_method
-from repro.ml.tree import Tree, _Builder, _HistBuilder
+from repro.ml.binning import BinnedMatrix
+from repro.ml.tree import Tree, _Builder
 from repro.obs import metrics
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_2d, check_fitted
@@ -33,9 +33,9 @@ class GradientBoostingRegressor(Regressor):
         Minimum gain to split (XGBoost γ).
     subsample, colsample:
         Per-round row and per-split column sampling fractions.
-    tree_method:
-        ``"hist"`` (features binned once per fit, shared by every round —
-        the default) or ``"exact"``; ``None`` reads ``REPRO_TREE_METHOD``.
+
+    Features are binned once per fit and the codes are shared by every
+    round (see :mod:`repro.ml.binning`).
     """
 
     def __init__(
@@ -50,7 +50,6 @@ class GradientBoostingRegressor(Regressor):
         subsample: float = 1.0,
         colsample: float = 1.0,
         seed: int | np.random.Generator | None = 0,
-        tree_method: str | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -70,7 +69,6 @@ class GradientBoostingRegressor(Regressor):
         self.subsample = subsample
         self.colsample = colsample
         self.seed = seed
-        self.tree_method = tree_method
         self.trees_: list[Tree] | None = None
         self.base_score_: float = 0.0
 
@@ -78,10 +76,9 @@ class GradientBoostingRegressor(Regressor):
         X, y = self._validate_fit(X, y)
         rng = default_rng(self.seed)
         n, n_features = X.shape
-        method = resolve_tree_method(self.tree_method)
         # Bin once; every boosting round reuses the codes (row subsamples
         # are views into them, the bin edges never move).
-        binned = BinnedMatrix.from_matrix(X) if method == "hist" else None
+        binned = BinnedMatrix.from_matrix(X)
         self.base_score_ = float(y.mean())
         pred = np.full(n, self.base_score_)
         self.trees_ = []
@@ -95,7 +92,7 @@ class GradientBoostingRegressor(Regressor):
                     rows[rng.integers(0, n)] = True
             else:
                 rows = slice(None)
-            kwargs = dict(
+            builder = _Builder(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
@@ -104,17 +101,11 @@ class GradientBoostingRegressor(Regressor):
                 min_gain=max(self.min_split_gain, 1e-12),
                 rng=rng,
             )
-            if binned is not None:
-                bm = binned if isinstance(rows, slice) else binned.take(rows)
-                tree = _HistBuilder(**kwargs).build_binned(
-                    bm, g[rows], None, unit_hessian=True
-                )
-            else:
-                h = np.ones(n)
-                tree = _Builder(**kwargs).build(X[rows], g[rows], h[rows])
+            bm = binned if isinstance(rows, slice) else binned.take(rows)
+            tree = builder.build(bm, g[rows])
             self.trees_.append(tree)
             pred += self.learning_rate * tree.predict(X)
-        labels = {"model": "boosting", "method": method}
+        labels = {"model": "boosting"}
         reg = metrics.get_registry()
         reg.counter(
             "ml_tree_fits_total", help="ensemble fit calls", labels=labels

@@ -7,11 +7,10 @@ Trees train independently, so fitting fans out across processes via
 :func:`repro.utils.parallel.parallel_map` with per-tree seeds spawned from
 one root seed (results identical serial or parallel).
 
-With ``tree_method="hist"`` (the default) the feature matrix is
-quantile-binned to uint8 codes exactly once per ``fit`` and the resulting
-:class:`~repro.ml.binning.BinnedMatrix` is shared by every tree —
-bootstrap resamples are row subsets of the codes, so the binning cost is
-amortised across the whole ensemble.
+The feature matrix is quantile-binned to uint8 codes exactly once per
+``fit`` and the resulting :class:`~repro.ml.binning.BinnedMatrix` is
+shared by every tree — bootstrap resamples are row subsets of the codes,
+so the binning cost is amortised across the whole ensemble.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.base import Regressor
-from repro.ml.binning import BinnedMatrix, resolve_tree_method
-from repro.ml.tree import DecisionTreeRegressor, Tree, _Builder, _HistBuilder
+from repro.ml.binning import BinnedMatrix
+from repro.ml.tree import DecisionTreeRegressor, Tree, _Builder
 from repro.obs import metrics
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import default_rng, spawn_seed_sequences
@@ -33,14 +32,10 @@ __all__ = ["RandomForestRegressor"]
 
 @dataclass
 class _TreeTask:
-    """Picklable unit of work: grow one tree on a bootstrap sample.
+    """Picklable unit of work: grow one tree on a bootstrap sample of the
+    shared pre-binned codes."""
 
-    Exactly one of ``X``/``binned`` is set: the raw matrix for the exact
-    sorted search, or the shared pre-binned codes for histogram growing.
-    """
-
-    X: np.ndarray | None
-    binned: BinnedMatrix | None
+    binned: BinnedMatrix
     y: np.ndarray
     max_depth: int
     min_samples_split: int
@@ -53,7 +48,7 @@ class _TreeTask:
         rng = default_rng(self.seed_state)
         n = len(self.y)
         idx = rng.integers(0, n, size=n) if self.bootstrap else slice(None)
-        kwargs = dict(
+        builder = _Builder(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
@@ -62,13 +57,8 @@ class _TreeTask:
             min_gain=1e-12,
             rng=rng,
         )
-        yb = self.y[idx]
-        if self.binned is not None:
-            bm = self.binned.take(idx) if self.bootstrap else self.binned
-            return _HistBuilder(**kwargs).build_binned(
-                bm, -yb, None, unit_hessian=True
-            )
-        return _Builder(**kwargs).build(self.X[idx], -yb, np.ones_like(yb))
+        bm = self.binned.take(idx) if self.bootstrap else self.binned
+        return builder.build(bm, -self.y[idx])
 
 
 def _run_task(task: _TreeTask) -> Tree:
@@ -87,9 +77,6 @@ class RandomForestRegressor(Regressor):
         regression convention).
     n_jobs:
         Processes for tree fitting (1 = serial).
-    tree_method:
-        ``"hist"`` (histogram splits over a shared binned matrix, the
-        default) or ``"exact"``; ``None`` reads ``REPRO_TREE_METHOD``.
     """
 
     def __init__(
@@ -102,7 +89,6 @@ class RandomForestRegressor(Regressor):
         bootstrap: bool = True,
         seed: int | None = 0,
         n_jobs: int = 1,
-        tree_method: str | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -114,19 +100,16 @@ class RandomForestRegressor(Regressor):
         self.bootstrap = bootstrap
         self.seed = seed
         self.n_jobs = n_jobs
-        self.tree_method = tree_method
         self.trees_: list[Tree] | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X, y = self._validate_fit(X, y)
-        method = resolve_tree_method(self.tree_method)
-        binned = BinnedMatrix.from_matrix(X) if method == "hist" else None
+        binned = BinnedMatrix.from_matrix(X)
         proto = DecisionTreeRegressor(max_features=self.max_features)
         mf = proto._resolve_max_features(X.shape[1])
         seeds = spawn_seed_sequences(self.seed, self.n_estimators)
         tasks = [
             _TreeTask(
-                X=None if binned is not None else X,
                 binned=binned,
                 y=y,
                 max_depth=self.max_depth,
@@ -141,7 +124,7 @@ class RandomForestRegressor(Regressor):
         self.trees_ = parallel_map(_run_task, tasks, n_jobs=self.n_jobs)
         # Counters bump in the parent so parallel fits are still counted
         # (workers have their own registries that die with the pool).
-        labels = {"model": "forest", "method": method}
+        labels = {"model": "forest"}
         reg = metrics.get_registry()
         reg.counter(
             "ml_tree_fits_total", help="ensemble fit calls", labels=labels

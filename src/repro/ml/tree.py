@@ -1,22 +1,24 @@
-"""CART regression trees with vectorised split search.
+"""CART regression trees with histogram split search.
 
-The tree is grown with an explicit node stack; at each node, every
-candidate feature's best threshold is found either by the exact sorted
-search (one sort plus prefix-sum arithmetic per feature) or by the
-histogram method (``tree_method="hist"``, the default): features are
-quantile-binned to uint8 once per fit (:mod:`repro.ml.binning`), per-node
-(grad, hessian, count) histograms come from one flattened ``np.bincount``,
-every bin boundary is scored in a single cumulative-sum pass, and sibling
-histograms are derived by subtraction.  Prediction walks the flat node
-arrays level-synchronously for whole batches at once and is method-agnostic
-(hist thresholds live in raw feature space).
+Trees are grown one depth level at a time over features quantile-binned
+to uint8 once per fit (:mod:`repro.ml.binning`): per-node (grad, count)
+histograms come from one flattened ``np.bincount``, every bin boundary is
+scored in a single cumulative-sum pass, and sibling histograms are
+derived by subtraction.  Thresholds live in raw feature space, so
+prediction walks the flat node arrays level-synchronously for whole
+batches of unbinned rows at once.
 
-Two split criteria share the machinery:
+Every tree is grown on squared loss, so the hessian is 1 per row and the
+count histogram serves as the hessian.  Two split criteria share the
+machinery:
 
 - ``"mse"`` — classic variance reduction, leaf value = mean(y).
-- ``"xgb"`` — second-order gain on (gradient, hessian) pairs with L2
-  regularisation λ, leaf value = −G/(H+λ); this is the XGBoost objective
-  used by :class:`repro.ml.boosting.GradientBoostingRegressor`.
+- ``"xgb"`` — second-order gain with L2 regularisation λ, leaf value
+  = −G/(H+λ); this is the XGBoost objective used by
+  :class:`repro.ml.boosting.GradientBoostingRegressor`.
+
+The exact sorted search that this one is checked against lives in
+``tests/oracles/exact_tree.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.ml.binning import (
     BinnedMatrix,
     evaluate_splits,
     grouped_histograms,
-    resolve_tree_method,
     sampled_histograms,
 )
 from repro.utils.rng import default_rng
@@ -66,21 +67,11 @@ class Tree:
         return int(np.sum(self.feature == _LEAF))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised batch prediction by level-synchronous descent."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int32)
-        active = self.feature[node] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            f = self.feature[nd]
-            go_left = X[idx, f] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active[idx] = self.feature[node[idx]] != _LEAF
-        return self.value[node]
+        """Vectorised batch prediction: the value of each row's leaf."""
+        return self.value[self.apply(X)]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each row."""
+        """Leaf node index for each row, by level-synchronous descent."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         node = np.zeros(len(X), dtype=np.int32)
         active = self.feature[node] != _LEAF
@@ -105,77 +96,24 @@ class Tree:
         return int(depth.max()) if self.n_nodes else 0
 
 
-def _best_split_feature(
-    xf: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    min_leaf: int,
-    lam: float,
-) -> tuple[float, float]:
-    """Best (gain, threshold) for one feature column.
-
-    Works on (gradient, hessian) pairs; for the MSE criterion the caller
-    passes ``g = −y`` and ``h = 1`` (the two objectives coincide up to
-    constants with λ=0).  Gain is the second-order score improvement;
-    −inf when no valid split exists.
-    """
-    order = np.argsort(xf, kind="stable")
-    xs = xf[order]
-    gs = np.cumsum(g[order])
-    hs = np.cumsum(h[order])
-    n = len(xs)
-    G, H = gs[-1], hs[-1]
-    # Candidate split after position k (1-based left count).
-    k = np.arange(1, n)
-    valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & ((n - k) >= min_leaf)
-    if not np.any(valid):
-        return -np.inf, 0.0
-    Gl = gs[:-1]
-    Hl = hs[:-1]
-    gain = Gl**2 / (Hl + lam) + (G - Gl) ** 2 / (H - Hl + lam) - G**2 / (H + lam)
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))
-    thr = 0.5 * (xs[best] + xs[best + 1])
-    # Guard against midpoint rounding onto the right value for adjacent
-    # floats: route on <=, so ensure thr < xs[best+1].
-    if thr >= xs[best + 1]:
-        thr = xs[best]
-    return float(gain[best]), thr
-
-
-class _NodeArrays:
-    """Append-only flat node storage shared by both builders."""
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.n_samples: list[int] = []
-
-    def new_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        self.n_samples.append(0)
-        return len(self.feature) - 1
-
-    def freeze(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-            n_samples=np.asarray(self.n_samples, dtype=np.int64),
-        )
+#: Cap (in float64 entries) on transient per-level histogram blocks; levels
+#: whose eval-node histograms would exceed it are processed in slot blocks
+#: without retaining hists for subtraction.
+_HIST_ENTRY_BUDGET = 1 << 23
 
 
 class _Builder:
-    """Grows one tree on (g, h) pairs; shared by CART and boosting."""
+    """Grows one tree on squared-loss gradients; shared by CART and boosting.
+
+    Growth is level-synchronous over a :class:`BinnedMatrix`: histograms
+    for every splittable node of a level come from a single flattened
+    ``np.bincount`` (cost ``O(live_rows × F)`` per level, independent of
+    node count), all bin boundaries of all features of all nodes are
+    scored in one cumulative-sum pass, and below the root only each pair's
+    smaller child is accumulated — its sibling's histogram is the parent's
+    minus the smaller child's.  Hessians are 1 per row, so a node's
+    hessian sum is its row count.
+    """
 
     def __init__(
         self,
@@ -195,98 +133,27 @@ class _Builder:
         self.min_gain = min_gain
         self.rng = rng
 
-    def _sample_features(self, n_features: int) -> np.ndarray:
-        if self.max_features is not None and self.max_features < n_features:
-            return self.rng.choice(n_features, self.max_features, replace=False)
-        return np.arange(n_features)
-
-    def build(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> Tree:
-        n_features = X.shape[1]
-        nodes = _NodeArrays()
-        root = nodes.new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(len(X)), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            Gi = g[idx]
-            Hi = h[idx]
-            nodes.n_samples[node] = len(idx)
-            nodes.value[node] = float(-Gi.sum() / (Hi.sum() + self.lam))
-            if depth >= self.max_depth or len(idx) < self.min_samples_split:
-                continue
-            feats = self._sample_features(n_features)
-            best_gain, best_f, best_thr = self.min_gain, -1, 0.0
-            Xi = X[idx]
-            for f in feats:
-                gain, thr = _best_split_feature(
-                    Xi[:, f], Gi, Hi, self.min_samples_leaf, self.lam
-                )
-                if gain > best_gain:
-                    best_gain, best_f, best_thr = gain, int(f), thr
-            if best_f < 0:
-                continue
-            mask = Xi[:, best_f] <= best_thr
-            li, ri = idx[mask], idx[~mask]
-            if len(li) < self.min_samples_leaf or len(ri) < self.min_samples_leaf:
-                continue
-            nodes.feature[node] = best_f
-            nodes.threshold[node] = best_thr
-            ln = nodes.new_node()
-            rn = nodes.new_node()
-            nodes.left[node] = ln
-            nodes.right[node] = rn
-            stack.append((ln, li, depth + 1))
-            stack.append((rn, ri, depth + 1))
-        return nodes.freeze()
-
-
-#: Cap (in float64 entries) on transient per-level histogram blocks; levels
-#: whose eval-node histograms would exceed it are processed in slot blocks
-#: without retaining hists for subtraction.
-_HIST_ENTRY_BUDGET = 1 << 23
-
-
-class _HistBuilder(_Builder):
-    """Level-synchronous histogram growth over a :class:`BinnedMatrix`.
-
-    Same growth policy and gain arithmetic as :class:`_Builder`, but the
-    tree is grown one depth level at a time: histograms for every
-    splittable node of the level come from a single flattened
-    ``np.bincount`` (cost ``O(live_rows × F)`` per level, independent of
-    node count), all bin boundaries of all features of all nodes are scored
-    in one cumulative-sum pass, and below the root only each pair's smaller
-    child is accumulated — its sibling's histogram is the parent's minus
-    the smaller child's.
-    """
-
-    def build_binned(
-        self,
-        bm: BinnedMatrix,
-        g: np.ndarray,
-        h: np.ndarray | None,
-        unit_hessian: bool = False,
-    ) -> Tree:
-        """Grow a tree on binned codes; ``h`` may be None iff unit_hessian."""
+    def build(self, bm: BinnedMatrix, g: np.ndarray) -> Tree:
+        """Grow a tree on binned codes and per-row gradients ``g``."""
         f_all = bm.n_features
-        hv = None if unit_hessian else h
         n = bm.n_rows
         rows = np.arange(n, dtype=np.intp)  # rows still in splittable nodes
         slot = np.zeros(n, dtype=np.intp)  # level-local node index per row
         cnt = np.array([n], dtype=np.int64)
         gsum = np.array([g.sum()])
-        hsum = np.array([float(n) if unit_hessian else h.sum()])
         depth = 0
         blocks: list[tuple[np.ndarray, ...]] = []  # one node block per level
         lo = 0  # node id of the level's first node
         # Histograms of the previous level's split nodes, ordered by pair:
         # child slots 2t / 2t+1 descend from parent_hists[t].
-        parent_hists: tuple[np.ndarray, ...] | None = None
+        parent_hists: tuple[np.ndarray, np.ndarray] | None = None
         while True:
             k = len(cnt)
             feature = np.full(k, _LEAF, dtype=np.int32)
             threshold = np.zeros(k)
             left = np.full(k, _LEAF, dtype=np.int32)
             right = np.full(k, _LEAF, dtype=np.int32)
-            value = -gsum / (hsum + self.lam)
+            value = -gsum / (cnt + self.lam)
             # Splitting nodes mutate this block in place below.
             blocks.append((feature, threshold, left, right, value, cnt))
             if depth >= self.max_depth:
@@ -304,10 +171,10 @@ class _HistBuilder(_Builder):
                 fcols = keep_f[:, : self.max_features].astype(np.intp)
                 feat_mask = np.zeros((len(eligible), f_all), dtype=bool)
                 np.put_along_axis(feat_mask, fcols, True, axis=1)
-            gain, best_f, best_thr, best_b, lg, lh, lc, ev_hists = (
+            gain, best_f, best_thr, best_b, lg, lc, ev_hists = (
                 self._level_splits(
-                    bm, rows, slot, cnt, gsum, hsum, eligible, parent_hists,
-                    g, hv, feat_mask, fcols,
+                    bm, rows, slot, cnt, gsum, eligible, parent_hists,
+                    g, feat_mask, fcols,
                 )
             )
             win = np.flatnonzero(gain > self.min_gain)
@@ -322,12 +189,9 @@ class _HistBuilder(_Builder):
             threshold[s] = best_thr[win]
             left[s] = new_lo + 2 * np.arange(nw, dtype=np.int32)
             right[s] = left[s] + 1
-            if ev_hists is not None:
-                pg, ph, pc = ev_hists
-                pgw, pcw = pg[win], pc[win]
-                parent_hists = (pgw, pcw if ph is pc else ph[win], pcw)
-            else:
-                parent_hists = None
+            parent_hists = (
+                None if ev_hists is None else (ev_hists[0][win], ev_hists[1][win])
+            )
             # Children's node statistics come from the chosen split's
             # left-side sums — no per-row rescan.
             cnt_next = np.empty(2 * nw, dtype=np.int64)
@@ -336,9 +200,6 @@ class _HistBuilder(_Builder):
             gsum_next = np.empty(2 * nw)
             gsum_next[0::2] = lg[win]
             gsum_next[1::2] = gsum[s] - lg[win]
-            hsum_next = np.empty(2 * nw)
-            hsum_next[0::2] = lh[win]
-            hsum_next[1::2] = hsum[s] - lh[win]
             # Route rows of split nodes to their children; drop leaf rows.
             # Splits compare in global-code space (offset[f] + bin), so
             # only ``global_codes`` is touched per row.
@@ -353,7 +214,7 @@ class _HistBuilder(_Builder):
             go_right = bm.global_codes[rows, f_w.take(t)] > gb_w.take(t)
             slot = 2 * t
             slot += go_right
-            cnt, gsum, hsum = cnt_next, gsum_next, hsum_next
+            cnt, gsum = cnt_next, gsum_next
             lo = new_lo
             depth += 1
         return Tree(
@@ -372,18 +233,16 @@ class _HistBuilder(_Builder):
         slot: np.ndarray,
         cnt: np.ndarray,
         gsum: np.ndarray,
-        hsum: np.ndarray,
         eligible: np.ndarray,
-        parent_hists: tuple[np.ndarray, ...] | None,
+        parent_hists: tuple[np.ndarray, np.ndarray] | None,
         g: np.ndarray,
-        hv: np.ndarray | None,
         feat_mask: np.ndarray | None,
         fcols: np.ndarray | None,
     ) -> tuple[np.ndarray, ...]:
         """Best split per eligible slot.
 
         Returns per-eligible-node (gain, feature, threshold, bin,
-        left_grad, left_hess, left_count) plus the eligible nodes'
+        left_grad, left_count) plus the eligible nodes' (grad, count)
         histograms (for next-level sibling subtraction), or ``None`` for
         the latter when subtraction does not apply (feature-subsampled
         levels, or levels over the histogram memory budget).
@@ -406,7 +265,7 @@ class _HistBuilder(_Builder):
             grp = lut[slot]
             m = grp >= 0
             r, gm = (rows, grp) if m.all() else (rows[m], grp[m])
-            totals = (gsum[eligible], hsum[eligible], cnt[eligible])
+            totals = (gsum[eligible], cnt[eligible])
             if ne * w > _HIST_ENTRY_BUDGET:
                 # Rare huge level: bound memory by scoring nodes in blocks.
                 block = max(1, _HIST_ENTRY_BUDGET // w)
@@ -414,23 +273,22 @@ class _HistBuilder(_Builder):
                 for a in range(0, ne, block):
                     nb = min(block, ne - a)
                     mb = (gm >= a) & (gm < a + nb)
-                    grad, hess, count = sampled_histograms(
-                        bm, r[mb], gm[mb] - a, nb, g, hv, fcols[a : a + nb]
+                    grad, count = sampled_histograms(
+                        bm, r[mb], gm[mb] - a, nb, g, fcols[a : a + nb]
                     )
                     parts.append(
                         evaluate_splits(
-                            grad, hess if hess is not None else count, count,
-                            bm, min_leaf, lam, feat_mask[a : a + nb],
+                            grad, count, bm, min_leaf, lam,
+                            feat_mask[a : a + nb],
                             totals=tuple(t[a : a + nb] for t in totals),
                         )
                     )
                 return tuple(
-                    np.concatenate([p[i] for p in parts]) for i in range(7)
+                    np.concatenate([p[i] for p in parts]) for i in range(6)
                 ) + (None,)
-            grad, hess, count = sampled_histograms(bm, r, gm, ne, g, hv, fcols)
+            grad, count = sampled_histograms(bm, r, gm, ne, g, fcols)
             out = evaluate_splits(
-                grad, hess if hess is not None else count, count,
-                bm, min_leaf, lam, feat_mask, totals=totals,
+                grad, count, bm, min_leaf, lam, feat_mask, totals=totals
             )
             return out + (None,)
 
@@ -445,35 +303,28 @@ class _HistBuilder(_Builder):
                 lut[sub] = np.arange(len(sub))
                 grp = lut[slot]
                 m = grp >= 0
-                grad, hess, count = grouped_histograms(
-                    bm, rows[m], grp[m], len(sub), g, hv
+                grad, count = grouped_histograms(
+                    bm, rows[m], grp[m], len(sub), g
                 )
-                parts.append(
-                    evaluate_splits(
-                        grad, hess if hess is not None else count, count,
-                        bm, min_leaf, lam, None,
-                    )
-                )
+                parts.append(evaluate_splits(grad, count, bm, min_leaf, lam))
             return tuple(
-                np.concatenate([p[i] for p in parts]) for i in range(7)
+                np.concatenate([p[i] for p in parts]) for i in range(6)
             ) + (None,)
 
         if parent_hists is None:
             # Root level (or post-fallback): accumulate every slot directly.
             if ne == 1 and len(cnt) == 1 and len(rows) == bm.n_rows:
-                grad, hess, count = grouped_histograms(bm, None, None, 1, g, hv)
+                grad, count = grouped_histograms(bm, None, None, 1, g)
             else:
                 lut = np.full(len(cnt), -1, dtype=np.intp)
                 lut[eligible] = np.arange(ne)
                 grp = lut[slot]
                 m = grp >= 0
                 if m.all():
-                    grad, hess, count = grouped_histograms(
-                        bm, rows, grp, ne, g, hv
-                    )
+                    grad, count = grouped_histograms(bm, rows, grp, ne, g)
                 else:
-                    grad, hess, count = grouped_histograms(
-                        bm, rows[m], grp[m], ne, g, hv
+                    grad, count = grouped_histograms(
+                        bm, rows[m], grp[m], ne, g
                     )
         else:
             # Sibling subtraction: bincount only each pair's smaller child;
@@ -487,42 +338,30 @@ class _HistBuilder(_Builder):
             lut[direct] = np.arange(len(direct))
             grp = lut[slot]
             m = grp >= 0
-            d_grad, d_hess, d_count = grouped_histograms(
-                bm, rows[m], grp[m], len(direct), g, hv
+            d_grad, d_count = grouped_histograms(
+                bm, rows[m], grp[m], len(direct), g
             )
             small_ix = lut[np.where(is_small, eligible, sib)]
             grad = d_grad[small_ix]
             count = d_count[small_ix]
-            hess = d_hess[small_ix] if d_hess is not None else None
             der = np.flatnonzero(~is_small)
             if len(der):
                 pair = eligible[der] // 2
-                pg, ph, pc = parent_hists
+                pg, pc = parent_hists
                 grad[der] = pg[pair] - grad[der]
                 count[der] = pc[pair] - count[der]
-                if hess is not None:
-                    hess[der] = ph[pair] - hess[der]
-        ev_hists = (
-            grad,
-            hess if hess is not None else count,
-            count,
-        )
-        out = evaluate_splits(
-            ev_hists[0], ev_hists[1], ev_hists[2], bm, min_leaf, lam, feat_mask
-        )
-        return out + (ev_hists,)
+        out = evaluate_splits(grad, count, bm, min_leaf, lam)
+        return out + ((grad, count),)
 
 
 class DecisionTreeRegressor(Regressor):
     """CART regression tree (variance-reduction splits, mean leaves).
 
     Parameters follow the scikit-learn vocabulary.  ``max_features`` may be
-    ``None`` (all), an int, a float fraction, or ``"sqrt"``.
-    ``tree_method`` selects histogram (``"hist"``, the default) or exact
-    sorted split search; ``None`` reads ``REPRO_TREE_METHOD``.  Both are
-    deterministic for a fixed seed; hist splits coincide with exact ones
-    whenever features have at most 256 distinct values, and otherwise land
-    on quantile-bin boundaries.
+    ``None`` (all), an int, a float fraction, or ``"sqrt"``.  Deterministic
+    for a fixed seed; splits coincide with an exact sorted search whenever
+    features have at most 256 distinct values, and otherwise land on
+    quantile-bin boundaries.
     """
 
     def __init__(
@@ -532,7 +371,6 @@ class DecisionTreeRegressor(Regressor):
         min_samples_leaf: int = 1,
         max_features: int | float | str | None = None,
         seed: int | np.random.Generator | None = None,
-        tree_method: str | None = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -545,7 +383,6 @@ class DecisionTreeRegressor(Regressor):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.tree_method = tree_method
         self.tree_: Tree | None = None
 
     def _resolve_max_features(self, n_features: int) -> int | None:
@@ -566,8 +403,7 @@ class DecisionTreeRegressor(Regressor):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         X, y = self._validate_fit(X, y)
-        method = resolve_tree_method(self.tree_method)
-        kwargs = dict(
+        builder = _Builder(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
@@ -578,13 +414,7 @@ class DecisionTreeRegressor(Regressor):
         )
         # MSE criterion as a second-order objective: g = −y, h = 1 gives
         # leaf value mean(y) and gain ∝ variance reduction.
-        if method == "hist":
-            bm = BinnedMatrix.from_matrix(X)
-            self.tree_ = _HistBuilder(**kwargs).build_binned(
-                bm, -y, None, unit_hessian=True
-            )
-        else:
-            self.tree_ = _Builder(**kwargs).build(X, -y, np.ones_like(y))
+        self.tree_ = builder.build(BinnedMatrix.from_matrix(X), -y)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ memory traffic and the FLOP cost on every axis that matters here.
 behaviour — used by gradient checking and any golden comparison where
 last-ulp reproducibility matters.
 
-Resolution order mirrors ``repro.ml.binning.resolve_tree_method``:
+Resolution order mirrors ``repro.features.pipeline.resolve_n_jobs``:
 
 1. an explicit ``dtype=...`` argument,
 2. the ``REPRO_NN_DTYPE`` environment variable,

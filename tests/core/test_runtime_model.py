@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import RuntimeModelConfig
 from repro.core.runtime_model import RuntimePredictor
+from tests.oracles import exact_runtime_model
 
 
 def test_predictions_within_limits(trace_jobs):
@@ -93,8 +94,8 @@ def test_feature_mode_validation():
 
 def test_hist_mape_within_2pct_of_exact(trace_jobs):
     """Quality gate for the histogram split search: on the synthetic Anvil
-    workload, the runtime model's holdout MAPE under ``hist`` must stay
-    within 2 % *relative* of the ``exact`` reference."""
+    workload, the runtime model's holdout MAPE must stay within 2 %
+    *relative* of a forest grown by the exact oracle."""
     from repro.eval.metrics import mean_absolute_percentage_error
 
     n = len(trace_jobs) // 2
@@ -102,12 +103,13 @@ def test_hist_mape_within_2pct_of_exact(trace_jobs):
     # Evaluate where the paper's metric is meaningful (non-trivial runtime).
     keep = test.runtime_min >= 1.0
     actual = test.runtime_min[keep]
-    mape = {}
-    for method in ("hist", "exact"):
-        rt = RuntimePredictor(
-            RuntimeModelConfig(n_estimators=20, tree_method=method), seed=0
-        ).fit(train)
-        mape[method] = mean_absolute_percentage_error(
-            actual, rt.predict_minutes(test)[keep]
-        )
-    assert mape["hist"] <= mape["exact"] * 1.02
+
+    def holdout_mape():
+        rt = RuntimePredictor(RuntimeModelConfig(n_estimators=20), seed=0)
+        pred = rt.fit(train).predict_minutes(test)
+        return mean_absolute_percentage_error(actual, pred[keep])
+
+    hist = holdout_mape()
+    with exact_runtime_model():
+        exact = holdout_mape()
+    assert hist <= exact * 1.02

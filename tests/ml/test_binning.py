@@ -1,9 +1,11 @@
 """Histogram binning: layout, accumulation, split parity with exact search.
 
-The load-bearing guarantee is the ``hist`` ≡ ``exact`` split contract for
+The load-bearing guarantee is the histogram ≡ exact split contract for
 low-cardinality features (every distinct value gets its own bin, so the
-candidate thresholds coincide) — checked here both on hand-built cases and
-property-style over random integer-valued matrices.
+candidate thresholds coincide), checked against the sorted-search oracle
+in ``tests/oracles`` both on hand-built cases and property-style over
+random integer-valued matrices, for CART and for the regularised
+second-order (boosting) objective.
 """
 
 import numpy as np
@@ -16,27 +18,10 @@ from repro.ml.binning import (
     BinnedMatrix,
     evaluate_splits,
     grouped_histograms,
-    resolve_tree_method,
     sampled_histograms,
 )
-from repro.ml.tree import DecisionTreeRegressor
-
-
-# ---------------------------------------------------------------- knob
-
-
-def test_resolve_tree_method_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_TREE_METHOD", raising=False)
-    assert resolve_tree_method(None) == "hist"
-    monkeypatch.setenv("REPRO_TREE_METHOD", "exact")
-    assert resolve_tree_method(None) == "exact"
-    # An explicit argument always wins over the environment.
-    assert resolve_tree_method("hist") == "hist"
-    with pytest.raises(ValueError, match="tree_method"):
-        resolve_tree_method("sorted")
-    monkeypatch.setenv("REPRO_TREE_METHOD", "bogus")
-    with pytest.raises(ValueError, match="tree_method"):
-        resolve_tree_method(None)
+from repro.ml.tree import DecisionTreeRegressor, _Builder
+from tests.oracles import ExactBuilder, ExactDecisionTree
 
 
 # ---------------------------------------------------------------- layout
@@ -117,15 +102,14 @@ def _random_problem(seed, n=400, f=5, groups=3):
     ).astype(np.float64)
     bm = BinnedMatrix.from_matrix(X)
     g = rng.normal(size=n)
-    h = rng.uniform(0.5, 2.0, size=n)
     rows = rng.integers(0, n, size=n)  # bootstrap-style
     grp = rng.integers(0, groups, size=n)
-    return bm, g, h, rows, grp, groups
+    return bm, g, rows, grp, groups
 
 
 def test_grouped_histograms_match_direct_sums():
-    bm, g, h, rows, grp, k = _random_problem(0)
-    grad, hess, count = grouped_histograms(bm, rows, grp, k, g, h)
+    bm, g, rows, grp, k = _random_problem(0)
+    grad, count = grouped_histograms(bm, rows, grp, k, g)
     for gi in range(k):
         sel = rows[grp == gi]
         for f in range(bm.n_features):
@@ -133,34 +117,36 @@ def test_grouped_histograms_match_direct_sums():
                 m = bm.global_codes[sel, f] == s
                 assert count[gi, s] == m.sum()
                 np.testing.assert_allclose(grad[gi, s], g[sel][m].sum())
-                np.testing.assert_allclose(hess[gi, s], h[sel][m].sum())
 
 
 def test_sampled_histograms_match_grouped_on_sampled_columns():
-    bm, g, h, rows, grp, k = _random_problem(1)
+    bm, g, rows, grp, k = _random_problem(1)
     rng = np.random.default_rng(9)
     cols = np.stack([rng.choice(bm.n_features, size=2, replace=False) for _ in range(k)])
     cols = cols.astype(np.intp)
-    sg, sh, sc = sampled_histograms(bm, rows, grp, k, g, h, cols)
-    fg, fh, fc = grouped_histograms(bm, rows, grp, k, g, h)
+    sg, sc = sampled_histograms(bm, rows, grp, k, g, cols)
+    fg, fc = grouped_histograms(bm, rows, grp, k, g)
     for gi in range(k):
         for f in range(bm.n_features):
             sl = slice(int(bm.offsets[f]), int(bm.offsets[f + 1]))
             if f in cols[gi]:
                 np.testing.assert_array_equal(sc[gi, sl], fc[gi, sl])
                 np.testing.assert_allclose(sg[gi, sl], fg[gi, sl])
-                np.testing.assert_allclose(sh[gi, sl], fh[gi, sl])
             else:  # unsampled features' slots stay zero
                 assert not sc[gi, sl].any()
                 assert not sg[gi, sl].any()
 
 
 def test_sampled_histograms_unit_hessian():
-    bm, g, _h, rows, grp, k = _random_problem(2)
+    """Squared loss has unit hessians: the int64 count histogram is the
+    hessian histogram, and no separate one is accumulated."""
+    bm, g, rows, grp, k = _random_problem(2)
     cols = np.tile(np.arange(2, dtype=np.intp), (k, 1))
-    grad, hess, count = sampled_histograms(bm, rows, grp, k, g, None, cols)
-    assert hess is None
+    out = sampled_histograms(bm, rows, grp, k, g, cols)
+    assert len(out) == 2
+    _grad, count = out
     assert count.dtype == np.int64
+    assert count.sum() == len(rows) * cols.shape[1]
 
 
 # ---------------------------------------------------------------- split scan
@@ -169,18 +155,17 @@ def test_sampled_histograms_unit_hessian():
 def test_masked_scan_agrees_with_full_scan():
     """The per-feature masked path must pick the same splits as the dense
     full-width scan (bit-exact for integer-valued gradients)."""
-    bm, _g, _h, rows, grp, k = _random_problem(3)
+    bm, _g, rows, grp, k = _random_problem(3)
     rng = np.random.default_rng(4)
     g = rng.integers(-5, 6, size=bm.n_rows).astype(np.float64)
-    grad, _, count = grouped_histograms(bm, rows, grp, k, g, None)
+    grad, count = grouped_histograms(bm, rows, grp, k, g)
     mask = np.ones((k, bm.n_features), dtype=bool)
-    full = evaluate_splits(grad, count, count, bm, 1, 0.0)
+    full = evaluate_splits(grad, count, bm, 1, 0.0)
     # totals force the masked path regardless of the size heuristic
     g_tot = np.bincount(grp, weights=g[rows], minlength=k)
     c_tot = np.bincount(grp, minlength=k)
-    totals = (g_tot, c_tot, c_tot)
     masked = evaluate_splits(
-        grad, count, count, bm, 1, 0.0, feat_mask=mask, totals=totals
+        grad, count, bm, 1, 0.0, feat_mask=mask, totals=(g_tot, c_tot)
     )
     for a, b in zip(full, masked):
         np.testing.assert_array_equal(a, b)
@@ -190,19 +175,19 @@ def test_evaluate_splits_respects_min_leaf():
     X = np.arange(10, dtype=np.float64).reshape(-1, 1)
     y = (X[:, 0] >= 9).astype(np.float64)  # only a 9-vs-1 split has gain
     bm = BinnedMatrix.from_matrix(X)
-    grad, _, count = grouped_histograms(bm, None, None, 1, -y, None)
-    gain, *_ = evaluate_splits(grad, count, count, bm, 2, 0.0)
-    _, feat, thr, *_ = evaluate_splits(grad, count, count, bm, 1, 0.0)
+    grad, count = grouped_histograms(bm, None, None, 1, -y)
+    gain, *_ = evaluate_splits(grad, count, bm, 2, 0.0)
+    _, feat, thr, *_ = evaluate_splits(grad, count, bm, 1, 0.0)
     # min_leaf=2 forbids the best cut; min_leaf=1 finds it at 8|9.
     assert 8.0 <= thr[0] < 9.0 and feat[0] == 0
-    g1, *_ = evaluate_splits(grad, count, count, bm, 1, 0.0)
+    g1, *_ = evaluate_splits(grad, count, bm, 1, 0.0)
     assert g1[0] > gain[0]
 
 
 def test_evaluate_splits_all_constant_features():
     bm = BinnedMatrix.from_matrix(np.ones((20, 2)))
-    grad, _, count = grouped_histograms(bm, None, None, 1, np.arange(20.0), None)
-    gain, *_ = evaluate_splits(grad, count, count, bm, 1, 0.0)
+    grad, count = grouped_histograms(bm, None, None, 1, np.arange(20.0))
+    gain, *_ = evaluate_splits(grad, count, bm, 1, 0.0)
     assert gain[0] == -np.inf
 
 
@@ -210,26 +195,25 @@ def test_evaluate_splits_all_constant_features():
 
 
 def _fit_both(X, y, **kw):
-    hist = DecisionTreeRegressor(tree_method="hist", **kw).fit(X, y)
-    exact = DecisionTreeRegressor(tree_method="exact", **kw).fit(X, y)
+    hist = DecisionTreeRegressor(**kw).fit(X, y)
+    exact = ExactDecisionTree(**kw).fit(X, y)
     return hist, exact
 
 
-def _assert_same_tree(hist, exact, X):
+def _assert_same_tree(th, te, X):
     """Same grown tree: node numbering differs (level-order vs recursive
     builder) and thresholds may sit at different points of the same value
     gap (exact uses the node-local midpoint, hist the global bin edge), so
     equality is checked on what the tree *is*: the split-feature multiset,
     the induced training-data partition, and the fitted function."""
-    th, te = hist.tree_, exact.tree_
     assert th.n_leaves == te.n_leaves
     assert sorted(th.feature[th.feature >= 0]) == sorted(te.feature[te.feature >= 0])
-    lh, le = hist.apply(X), exact.apply(X)
+    lh, le = th.apply(X), te.apply(X)
     # The leaf partitions coincide: each hist leaf maps to one exact leaf
     # and the pairing is one-to-one.
     pairs = {(a, b) for a, b in zip(lh.tolist(), le.tolist())}
     assert len(pairs) == len(set(lh)) == len(set(le))
-    np.testing.assert_array_equal(hist.predict(X), exact.predict(X))
+    np.testing.assert_array_equal(th.predict(X), te.predict(X))
 
 
 def test_hist_equals_exact_simple():
@@ -237,26 +221,40 @@ def test_hist_equals_exact_simple():
     X = rng.integers(0, 30, size=(300, 4)).astype(np.float64)
     y = X[:, 0] + 3.0 * (X[:, 1] > 15) + rng.integers(0, 3, size=300)
     hist, exact = _fit_both(X, y, max_depth=6)
-    _assert_same_tree(hist, exact, X)
+    _assert_same_tree(hist.tree_, exact.tree_, X)
 
 
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_hist_equals_exact_property(data):
     """With ≤255 distinct values per feature, every distinct value gets its
-    own bin, so hist and exact consider identical candidate thresholds and
-    must grow identical trees (integer targets keep sums bit-exact)."""
+    own bin, so the product builder and the exact oracle consider identical
+    candidate thresholds and must grow identical trees (integer gradients
+    keep sums bit-exact).  λ = 0 is CART; λ > 0 is the regularised
+    second-order objective the boosting ensemble grows its trees with."""
     n = data.draw(st.integers(20, 120), label="n_rows")
     f = data.draw(st.integers(1, 4), label="n_features")
     card = data.draw(st.integers(2, 25), label="cardinality")
     depth = data.draw(st.integers(1, 5), label="max_depth")
     min_leaf = data.draw(st.integers(1, 4), label="min_leaf")
+    lam = data.draw(st.sampled_from([0.0, 1.0, 2.5]), label="lam")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     rng = np.random.default_rng(seed)
     X = rng.integers(0, card, size=(n, f)).astype(np.float64)
-    y = rng.integers(-8, 9, size=n).astype(np.float64)
-    hist, exact = _fit_both(
-        X, y, max_depth=depth, min_samples_leaf=min_leaf
+    g = rng.integers(-8, 9, size=n).astype(np.float64)
+    kw = dict(
+        max_depth=depth,
+        min_samples_split=2,
+        min_samples_leaf=min_leaf,
+        max_features=None,
+        lam=lam,
+        min_gain=1e-12,
+    )
+    hist = _Builder(rng=np.random.default_rng(0), **kw).build(
+        BinnedMatrix.from_matrix(X), g
+    )
+    exact = ExactBuilder(rng=np.random.default_rng(0), **kw).build(
+        X, g, np.ones_like(g)
     )
     _assert_same_tree(hist, exact, X)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeRegressor, _best_split_feature
+from repro.ml.tree import DecisionTreeRegressor
+from tests.oracles.exact_tree import _best_split_feature
 
 
 def test_perfect_split_found():
