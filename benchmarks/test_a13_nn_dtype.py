@@ -1,4 +1,4 @@
-"""A13 — float32 compute policy vs the float64 reference for the NN.
+"""A13 — float32 compute vs the float64 reference for the NN.
 
 The allocation-free float32 path exists purely for speed, so this bench
 measures the trade where it matters: a regression-scale training run

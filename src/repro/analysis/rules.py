@@ -147,7 +147,7 @@ class DtypeRule(Rule):
 
     The PR-4 compute path hands buffers between layers via ``out=``; a
     constructor that silently defaults to float64 breaks the float32
-    policy (dtype mismatch → ufunc copies → the allocation-free contract
+    compute path (dtype mismatch → ufunc copies → the allocation-free contract
     quietly degrades).  ``*_like`` constructors inherit a dtype and are
     exempt.
     """
@@ -177,7 +177,7 @@ class DtypeRule(Rule):
         yield self.violation(
             ctx,
             node,
-            f"np.{ctor}(...) without dtype= — the nn dtype policy "
+            f"np.{ctor}(...) without dtype= — the nn compute dtype "
             "(DESIGN.md §8) requires every buffer to pin its dtype",
         )
 

@@ -36,6 +36,7 @@ or to ``--telemetry-out PATH``.
 from __future__ import annotations
 
 import argparse
+import math
 import pickle
 import sys
 from pathlib import Path
@@ -45,7 +46,6 @@ import numpy as np
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.core import TroutConfig, TroutModel, train_trout
 from repro.core.training import build_feature_matrix
-from repro.nn.dtypes import NN_DTYPES
 from repro.data.schema import JOB_DTYPE, JobSet
 from repro.data.stats import format_statistics_table, job_statistics
 from repro.data.swf import read_swf, write_swf
@@ -73,6 +73,27 @@ def _add_telemetry_args(sp: argparse.ArgumentParser) -> None:
         default=None,
         help="write the telemetry dump to this file instead of stdout",
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--n-jobs",
         type=int,
-        default=None,
+        default=1,
         help="feature-engineering worker processes "
-        "(default: $REPRO_N_JOBS or 1; results are bit-identical)",
+        "(default: 1; results are bit-identical)",
     )
     tr.add_argument(
         "--cache-dir",
@@ -113,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="on-disk feature cache directory (reused across runs; "
         "content-hash keyed, so stale entries are impossible)",
-    )
-    tr.add_argument(
-        "--nn-dtype",
-        choices=NN_DTYPES,
-        default=None,
-        help="neural-network compute dtype "
-        "(default: $REPRO_NN_DTYPE or float32; float64 is the reference path)",
     )
     _add_telemetry_args(tr)
 
@@ -153,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     hy.add_argument("--trace", type=Path, required=True)
     hy.add_argument("--scale", type=float, default=0.05)
     hy.add_argument("--partition", type=str, default="shared")
-    hy.add_argument("--cpus", type=int, default=16)
-    hy.add_argument("--mem-gb", type=float, default=32.0)
-    hy.add_argument("--nodes", type=int, default=1)
-    hy.add_argument("--timelimit-min", type=float, default=240.0)
+    hy.add_argument("--cpus", type=_positive_int, default=16)
+    hy.add_argument("--mem-gb", type=_non_negative_float, default=32.0)
+    hy.add_argument("--nodes", type=_positive_int, default=1)
+    hy.add_argument("--timelimit-min", type=_positive_float, default=240.0)
     hy.add_argument("--user-id", type=int, default=0)
 
     se = sub.add_parser(
@@ -288,11 +302,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     jobs = read_swf(args.trace)
     cluster = anvil_cluster(scale=args.scale)
-    config = TroutConfig(
-        cutoff_min=args.cutoff_min,
-        seed=args.seed,
-        nn_dtype=args.nn_dtype,
-    )
+    config = TroutConfig(cutoff_min=args.cutoff_min, seed=args.seed)
     try:
         cache = FeatureCache(args.cache_dir) if args.cache_dir is not None else None
     except OSError as exc:
@@ -317,10 +327,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bundle(model_dir: Path) -> tuple[TroutModel, object]:
-    model = TroutModel.load(model_dir)
-    with open(model_dir / "runtime_model.pkl", "rb") as fh:
-        runtime = pickle.load(fh)
+def _load_bundle(model_dir: Path) -> tuple[TroutModel, object] | None:
+    """The model and runtime predictor saved by ``trout train``, or None
+    after reporting on stderr why ``model_dir`` cannot be loaded."""
+    try:
+        model = TroutModel.load(model_dir)
+        with open(model_dir / "runtime_model.pkl", "rb") as fh:
+            runtime = pickle.load(fh)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"cannot load model {model_dir}: {exc}", file=sys.stderr)
+        return None
     return model, runtime
 
 
@@ -331,7 +347,10 @@ def _featurise(jobs: JobSet, scale: float, runtime) -> np.ndarray:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model, runtime = _load_bundle(args.model)
+    bundle = _load_bundle(args.model)
+    if bundle is None:
+        return 1
+    model, runtime = bundle
     jobs = read_swf(args.trace)
     pos = np.flatnonzero(jobs.column("job_id") == args.job_id)
     if not len(pos):
@@ -351,7 +370,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_hypothetical(args: argparse.Namespace) -> int:
-    model, runtime = _load_bundle(args.model)
+    bundle = _load_bundle(args.model)
+    if bundle is None:
+        return 1
+    model, runtime = bundle
     jobs = read_swf(args.trace)
     try:
         part_idx = list(jobs.partition_names).index(args.partition)
@@ -403,7 +425,10 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
     predictions: dict[int, str] = {}
     if args.model is not None and len(pend):
-        model, runtime = _load_bundle(args.model)
+        bundle = _load_bundle(args.model)
+        if bundle is None:
+            return 1
+        model, runtime = bundle
         pred_rt = runtime.predict_minutes(jobs)
         X_live, positions = live_features(
             jobs, t_now, anvil_cluster(args.scale), pred_runtime_min=pred_rt,

@@ -69,7 +69,7 @@ class QuickStartClassifier:
                 layers.append(Dropout(cfg.dropout, seed=rng))
             width_in = width
         layers.append(Dense(width_in, 1, init="glorot_uniform", seed=rng))
-        net = Sequential(layers, dtype=cfg.nn_dtype)
+        net = Sequential(layers)
         net.compile("bce_logits", Adam(lr=cfg.lr))
         return net
 

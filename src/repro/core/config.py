@@ -14,15 +14,6 @@ from dataclasses import dataclass, field
 __all__ = ["ClassifierConfig", "RegressorConfig", "RuntimeModelConfig", "TroutConfig"]
 
 
-def _check_nn_dtype(value: str | None) -> None:
-    # Kept string-based so this module stays import-light; the nn layer
-    # re-validates through resolve_nn_dtype at build time.
-    if value is not None and value not in ("float32", "float64"):
-        raise ValueError(
-            f"nn_dtype must be 'float32', 'float64' or None, got {value!r}"
-        )
-
-
 @dataclass
 class ClassifierConfig:
     """Quick-start binary classifier (2 hidden layers in the paper)."""
@@ -37,15 +28,12 @@ class ClassifierConfig:
     smote_k: int = 5
     undersample_majority_to: float = 2.0
     threshold: float = 0.5  # decision threshold on P(long wait)
-    #: "float32" or "float64"; None defers to $REPRO_NN_DTYPE (default float32).
-    nn_dtype: str | None = None
 
     def __post_init__(self) -> None:
         if not self.hidden:
             raise ValueError("classifier needs at least one hidden layer")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        _check_nn_dtype(self.nn_dtype)
 
 
 @dataclass
@@ -62,13 +50,10 @@ class RegressorConfig:
     smooth_l1_beta: float = 1.0
     batch_norm: bool = False  # tested and rejected in the paper
     log_target: bool = True  # train on log1p(minutes)
-    #: "float32" or "float64"; None defers to $REPRO_NN_DTYPE (default float32).
-    nn_dtype: str | None = None
 
     def __post_init__(self) -> None:
         if not self.hidden:
             raise ValueError("regressor needs at least one hidden layer")
-        _check_nn_dtype(self.nn_dtype)
 
 
 @dataclass
@@ -78,7 +63,6 @@ class RuntimeModelConfig:
     n_estimators: int = 30
     max_depth: int = 12
     min_samples_leaf: int = 4
-    n_jobs: int = 1
 
 
 @dataclass
@@ -94,18 +78,9 @@ class TroutConfig:
     holdout_fraction: float = 0.2  # most recent 20 % reserved (§III)
     val_fraction: float = 0.1  # tail of each training window for early stop
     seed: int = 0
-    #: Network-wide dtype policy; propagated to both model configs unless
-    #: they already set their own.  None defers to $REPRO_NN_DTYPE.
-    nn_dtype: str | None = None
 
     def __post_init__(self) -> None:
         if self.cutoff_min <= 0:
             raise ValueError("cutoff_min must be positive")
         if not 0.0 < self.val_fraction < 0.5:
             raise ValueError("val_fraction must be in (0, 0.5)")
-        _check_nn_dtype(self.nn_dtype)
-        if self.nn_dtype is not None:
-            if self.classifier.nn_dtype is None:
-                self.classifier.nn_dtype = self.nn_dtype
-            if self.regressor.nn_dtype is None:
-                self.regressor.nn_dtype = self.nn_dtype

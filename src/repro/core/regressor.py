@@ -65,7 +65,7 @@ class QueueTimeRegressor:
                 layers.append(Dropout(cfg.dropout, seed=rng))
             width_in = width
         layers.append(Dense(width_in, 1, init="glorot_uniform", seed=rng))
-        net = Sequential(layers, dtype=cfg.nn_dtype)
+        net = Sequential(layers)
         net.compile(SmoothL1Loss(beta=cfg.smooth_l1_beta), Adam(lr=cfg.lr))
         return net
 

@@ -137,7 +137,6 @@ class RuntimePredictor:
             max_depth=cfg.max_depth,
             min_samples_leaf=cfg.min_samples_leaf,
             seed=self.seed,
-            n_jobs=cfg.n_jobs,
         ).fit(X, y)
         if self.features == "request+user":
             # Freeze each user's final training-time statistics.

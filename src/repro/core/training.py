@@ -34,7 +34,6 @@ from repro.eval.metrics import (
     within_percent_error,
 )
 from repro.features.pipeline import FeatureMatrix, FeaturePipeline
-from repro.nn.dtypes import resolve_nn_dtype
 from repro.obs import metrics, tracing
 from repro.slurm.resources import Cluster
 from repro.utils.logging import get_logger
@@ -99,7 +98,7 @@ def build_feature_matrix(
     jobs: JobSet,
     cluster: Cluster,
     config: TroutConfig | None = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     cache: "FeatureCache | None" = None,
 ) -> tuple[FeatureMatrix, RuntimePredictor]:
     """Featurise a trace with a leakage-safe runtime model.
@@ -108,9 +107,9 @@ def build_feature_matrix(
     subset of every fold's training window) and predicts runtimes for the
     whole trace; those predictions feed the three Pred-Runtime features.
 
-    ``n_jobs`` fans the snapshot stage out across processes (``None`` reads
-    ``REPRO_N_JOBS``); ``cache`` memoises the finished matrix on disk —
-    both leave the result bit-identical to a serial cold run.
+    ``n_jobs`` fans the snapshot stage out across processes (default 1,
+    serial); ``cache`` memoises the finished matrix on disk — both leave
+    the result bit-identical to a serial cold run.
     """
     config = config or TroutConfig()
     n = len(jobs)
@@ -209,14 +208,13 @@ def train_trout(
     past, recent = holdout_recent(len(fm), config.holdout_fraction)
     y_long = (q > config.cutoff_min).astype(np.float64)
 
-    nn_dtype = resolve_nn_dtype(config.nn_dtype).name
     clf = QuickStartClassifier(fm.X.shape[1], config.classifier, seed=config.seed)
-    with tracing.span("train.classifier", rows=len(past), nn_dtype=nn_dtype):
+    with tracing.span("train.classifier", rows=len(past)):
         clf.fit(fm.X[past], y_long[past])
 
     long_tr = past[q[past] > config.cutoff_min]
     reg = QueueTimeRegressor(fm.X.shape[1], config.regressor, seed=config.seed)
-    with tracing.span("train.regressor", rows=len(long_tr), nn_dtype=nn_dtype):
+    with tracing.span("train.regressor", rows=len(long_tr)):
         reg.fit(fm.X[long_tr], q[long_tr])
 
     model = TroutModel(

@@ -79,7 +79,6 @@ def live_features(
     cluster: Cluster,
     pred_runtime_min: np.ndarray | None = None,
     pipeline: FeaturePipeline | None = None,
-    n_jobs: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows for the jobs pending at ``t_now``, future-blind.
 
@@ -90,9 +89,9 @@ def live_features(
     pred_runtime_min:
         Runtime-model predictions aligned with ``jobs``; these depend only
         on request-time attributes so they carry no future information.
-    n_jobs:
-        Snapshot-stage worker processes for the default pipeline (ignored
-        when an explicit ``pipeline`` is passed, which carries its own).
+    pipeline:
+        The pipeline to featurize with (default: a serial
+        ``FeaturePipeline(cluster)``).
 
     Returns
     -------
@@ -103,7 +102,7 @@ def live_features(
     masked = mask_future(jobs, t_now)
     if len(masked) == 0:
         raise ValueError(f"no jobs known at t_now={t_now}")
-    pipeline = pipeline or FeaturePipeline(cluster, n_jobs=n_jobs)
+    pipeline = pipeline or FeaturePipeline(cluster)
     if pred_runtime_min is not None:
         keep = jobs.records["submit_time"] <= t_now
         pred = np.asarray(pred_runtime_min, dtype=np.float64)[keep]

@@ -17,7 +17,6 @@ recorded on the returned matrix for the benches and ``eval.report``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,26 +30,9 @@ from repro.obs import metrics, tracing
 from repro.slurm.resources import Cluster
 from repro.utils.logging import get_logger
 
-__all__ = ["FeatureMatrix", "FeaturePipeline", "resolve_n_jobs"]
+__all__ = ["FeatureMatrix", "FeaturePipeline"]
 
 log = get_logger(__name__)
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """``None`` defers to the ``REPRO_N_JOBS`` environment knob (default 1).
-
-    This is how CI exercises every parallel path: the second workflow job
-    sets ``REPRO_N_JOBS=2`` and runs the unmodified suite.
-    """
-    if n_jobs is not None:
-        return n_jobs
-    raw = os.environ.get("REPRO_N_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_N_JOBS must be an integer, got {raw!r}"
-        ) from None
 
 
 @dataclass
@@ -92,8 +74,8 @@ class FeaturePipeline:
         Apply ``log1p`` columnwise (the paper's choice).
     n_jobs:
         Worker processes for the snapshot stage (chunk tree builds and
-        per-partition aggregation).  ``None`` reads ``REPRO_N_JOBS``
-        (default 1).  Any value produces a bit-identical matrix.
+        per-partition aggregation); default 1, serial.  Any value
+        produces a bit-identical matrix.
     cache:
         Optional :class:`repro.features.cache.FeatureCache`; when set,
         :meth:`compute` is memoised on a content hash of the trace, the
@@ -107,7 +89,7 @@ class FeaturePipeline:
         overlap: int = 10_000,
         log_transform: bool = True,
         user_window_s: float = 24 * 3600.0,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
         cache: "FeatureCache | None" = None,
     ) -> None:
         if user_window_s <= 0:
@@ -120,7 +102,7 @@ class FeaturePipeline:
         #: fair-share period ("user jobs ran in past slurm-period"); the
         #: default is the paper's past-day window.
         self.user_window_s = user_window_s
-        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.n_jobs = n_jobs
         self.cache = cache
 
     def signature(self) -> tuple:

@@ -9,13 +9,13 @@ serialisation.  Gradients are exact and property-tested against finite
 differences (:mod:`repro.nn.gradcheck`).
 
 All math is batched NumPy — forward/backward touch no per-sample Python
-loops, per the hpc-parallel vectorisation discipline.  Compute follows a
-network-wide dtype policy (:mod:`repro.nn.dtypes`): **float32 by
-default** for speed, **float64 as the reference path** (selected via
-``Sequential(dtype=...)``, ``$REPRO_NN_DTYPE`` or ``trout train
---nn-dtype``).  Layers, losses and optimisers reuse preallocated
-buffers with ``out=`` ufunc calls, so a steady-state training step
-allocates nothing; gradient checking always runs in float64.
+loops, per the hpc-parallel vectorisation discipline.  Networks compute
+in **float32** for speed; **float64 is the reference path**, reached only
+by constructing it explicitly (``Sequential(dtype="float64")`` or
+``net.astype("float64")``; see :mod:`repro.nn.dtypes`).  Layers, losses
+and optimisers reuse preallocated buffers with ``out=`` ufunc calls, so a
+steady-state training step allocates nothing; gradient checking always
+runs in float64.
 """
 
 from repro.nn.activations import (

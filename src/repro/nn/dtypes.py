@@ -1,18 +1,12 @@
-"""Network-wide dtype policy and reusable scratch buffers.
+"""Network compute dtype and reusable scratch buffers.
 
-The framework computes in **float32 by default**: the two production nets
+The framework computes in **float32**: the two production nets
 (quick-start classifier, ELU regressor) spend their time in BLAS matmuls
 and elementwise ufuncs, and single precision roughly halves both the
 memory traffic and the FLOP cost on every axis that matters here.
-**float64 is the reference path** — bit-stable against the pre-policy
-behaviour — used by gradient checking and any golden comparison where
-last-ulp reproducibility matters.
-
-Resolution order mirrors ``repro.features.pipeline.resolve_n_jobs``:
-
-1. an explicit ``dtype=...`` argument,
-2. the ``REPRO_NN_DTYPE`` environment variable,
-3. the ``float32`` default.
+**float64 is the reference path**, reached only by asking for it
+explicitly (``Sequential(dtype="float64")`` or ``net.astype("float64")``),
+as gradient checking and the float32-vs-float64 parity tests do.
 
 :class:`Workspace` is the allocation-free building block: a small cache of
 scratch arrays keyed by ``(tag, shape, dtype)``.  Layers, losses and the
@@ -24,8 +18,6 @@ the first epoch.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = ["DEFAULT_NN_DTYPE", "NN_DTYPES", "resolve_nn_dtype", "Workspace"]
@@ -33,17 +25,14 @@ __all__ = ["DEFAULT_NN_DTYPE", "NN_DTYPES", "resolve_nn_dtype", "Workspace"]
 NN_DTYPES = ("float32", "float64")
 DEFAULT_NN_DTYPE = "float32"
 
-ENV_VAR = "REPRO_NN_DTYPE"
-
 
 def resolve_nn_dtype(dtype: str | np.dtype | type | None = None) -> np.dtype:
-    """Resolve the effective compute dtype.
+    """Validate a compute dtype; ``None`` means the float32 default.
 
-    Explicit argument > ``$REPRO_NN_DTYPE`` > float32 default.  Only
-    float32 and float64 are valid policies.
+    Only float32 and float64 are valid.
     """
     if dtype is None:
-        dtype = os.environ.get(ENV_VAR, "").strip() or DEFAULT_NN_DTYPE
+        dtype = DEFAULT_NN_DTYPE
     try:
         dt = np.dtype(dtype)
     except TypeError as exc:

@@ -6,8 +6,8 @@ for trusting the from-scratch framework at all.
 
 Gradient checking is **pinned to float64**: central differences at
 ``eps=1e-6`` drown in float32 rounding (the perturbation itself is near
-the ulp of typical weights), so both helpers convert a float32-policy net
-to the float64 reference path in place before measuring.  The check
+the ulp of typical weights), so both helpers convert a float32 net to
+the float64 reference path in place before measuring.  The check
 certifies the backprop *algebra*, which is dtype-independent.
 """
 

@@ -5,7 +5,7 @@ Every layer implements ``forward(x, training)`` and ``backward(grad)``
 activations backprop needs), and exposes parameter / gradient arrays that
 optimisers update in place.
 
-Layers carry the network dtype policy (float32 default, float64 reference
+Layers carry the network compute dtype (float32, float64 reference
 — see :mod:`repro.nn.dtypes`) and own a :class:`~repro.nn.dtypes.Workspace`
 of forward/backward buffers allocated once per (batch shape, dtype) and
 reused across batches, so steady-state training allocates nothing.  A
@@ -28,7 +28,7 @@ __all__ = ["Layer", "Dense", "Activation", "Dropout", "BatchNorm1d"]
 class Layer:
     """Base layer: stateless pass-through with no parameters."""
 
-    #: names of ndarray attributes cast when the dtype policy changes
+    #: names of ndarray attributes cast when the dtype changes
     _array_attrs: tuple[str, ...] = ()
     #: names of cached-activation attributes invalidated on a dtype change
     _cache_attrs: tuple[str, ...] = ()
@@ -86,8 +86,8 @@ class Dense(Layer):
     seed:
         Seed or generator for the initialiser.
     dtype:
-        Parameter/compute dtype; ``None`` defers to the policy
-        (:func:`repro.nn.dtypes.resolve_nn_dtype`).
+        Parameter/compute dtype; ``None`` means float32.  A layer added
+        to a :class:`~repro.nn.network.Sequential` takes the network's.
     """
 
     _array_attrs = ("W", "b", "dW", "db")

@@ -10,9 +10,9 @@ percentage accuracy" objective (valid because SMOTE balances the classes).
 All losses return the *mean* over elements; ``backward`` returns the
 gradient w.r.t. predictions with the 1/N folded in.
 
-Losses follow the network dtype policy: elementwise work happens in the
-dtype of the inputs (float32 under the default policy) inside workspace
-buffers reused across batches, while the scalar mean always accumulates
+Losses follow the network dtype: elementwise work happens in the dtype
+of the inputs (float32 unless the net is the float64 reference) inside
+workspace buffers reused across batches, while the scalar mean always accumulates
 in float64 so reported losses stay well-conditioned.  The gradient array
 returned by ``backward`` is a reused buffer — valid until the next
 ``forward`` of the same loss.

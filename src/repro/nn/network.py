@@ -6,13 +6,14 @@ minibatch epochs with optional validation and callbacks; ``predict``
 streams batches so inference over a full trace never materialises giant
 intermediates.
 
-The network carries the dtype policy (float32 default, float64 reference;
-see :mod:`repro.nn.dtypes`) and trains allocation-free in steady state:
-batches are gathered with ``np.take(..., out=...)`` into preallocated
-buffers, layers and losses reuse per-shape workspaces, and optimisers
-update in place — after the first epoch warms the buffers up, the net
-heap-block delta of an epoch span stays flat (exported as the
-``nn_alloc_blocks_per_epoch`` gauge, labelled by dtype).
+The network computes in float32 unless built with ``dtype="float64"``
+(the reference path; see :mod:`repro.nn.dtypes`) and trains
+allocation-free in steady state: batches are gathered with
+``np.take(..., out=...)`` into preallocated buffers, layers and losses
+reuse per-shape workspaces, and optimisers update in place — after the
+first epoch warms the buffers up, the net heap-block delta of an epoch
+span stays flat (exported as the ``nn_alloc_blocks_per_epoch`` gauge,
+labelled by dtype).
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class Sequential:
         net.fit(X, y, epochs=30, batch_size=512, seed=0)
         pred = net.predict(X_new)
 
-    ``dtype`` selects the compute/parameter precision: ``None`` defers to
-    ``$REPRO_NN_DTYPE`` and then the float32 default; pass ``"float64"``
-    for the bit-stable reference path.  Layers are cast to the policy on
-    construction and on :meth:`add`.
+    ``dtype`` selects the compute/parameter precision: float32 unless
+    ``"float64"`` is passed for the bit-stable reference path.  Layers are
+    cast to the network dtype on construction and on :meth:`add`.
     """
 
     def __init__(
@@ -70,7 +70,7 @@ class Sequential:
         return self
 
     def astype(self, dtype: str | np.dtype) -> "Sequential":
-        """Switch the dtype policy in place.
+        """Switch the compute dtype in place.
 
         Parameters are cast, reusable buffers dropped, and optimiser slot
         state reset (stale moments in the old precision would otherwise

@@ -4,24 +4,20 @@ The architecture is stored as a JSON config string alongside the weight
 arrays (and batch-norm running statistics), so a trained TROUT model
 round-trips through a single file the CLI can load.
 
-The dtype policy round-trips too: ``save_network`` records the net's
-dtype next to the layer configs, and ``load_network`` rebuilds under the
-saved policy by default — a float32-trained net loads back float32 and
-predicts bit-identically.  Passing ``dtype=`` overrides the checkpoint;
-down-casting a float64 checkpoint into a float32 policy warns (precision
-is silently lost otherwise).  Legacy checkpoints (plain-list config, all
-arrays float64) load as float64.
+The compute dtype round-trips too: ``save_network`` records the net's
+dtype next to the layer configs, and ``load_network`` rebuilds in the
+saved dtype — a float32-trained net loads back float32 and predicts
+bit-identically, a float64 one loads back float64.  Legacy checkpoints
+(plain-list config, all arrays float64) load as float64.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from repro.nn.dtypes import resolve_nn_dtype
 from repro.nn.layers import Activation, BatchNorm1d, Dense, Dropout, Layer
 from repro.nn.network import Sequential
 
@@ -66,30 +62,21 @@ def save_network(net: Sequential, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
-def load_network(path: str | Path, dtype: str | np.dtype | None = None) -> Sequential:
-    """Rebuild a :func:`save_network` file.  Loss/optimiser are not saved;
-    call :meth:`Sequential.compile` again before further training.
-
-    ``dtype=None`` restores the checkpoint's own policy; an explicit
-    ``dtype`` overrides it (warning when that down-casts the weights).
+def load_network(path: str | Path) -> Sequential:
+    """Rebuild a :func:`save_network` file in the dtype it was saved in.
+    Loss/optimiser are not saved; call :meth:`Sequential.compile` again
+    before further training.
     """
     path = Path(path)
     with np.load(path) as data:
         payload = json.loads(bytes(data["__config__"].tolist()).decode("utf-8"))
         if isinstance(payload, dict):
             configs = payload["layers"]
-            saved_dtype = np.dtype(payload["dtype"])
+            dtype = payload["dtype"]
         else:  # legacy plain-list config: every array was float64
             configs = payload
-            saved_dtype = np.dtype(np.float64)
-        target = saved_dtype if dtype is None else resolve_nn_dtype(dtype)
-        if target.itemsize < saved_dtype.itemsize:
-            warnings.warn(
-                f"loading a {saved_dtype.name} checkpoint under a "
-                f"{target.name} policy down-casts the weights",
-                stacklevel=2,
-            )
-        net = Sequential([_layer_from_config(c) for c in configs], dtype=target)
+            dtype = "float64"
+        net = Sequential([_layer_from_config(c) for c in configs], dtype=dtype)
         for i, layer in enumerate(net.layers):
             for j, p in enumerate(layer.params):
                 saved = data[f"param_{i}_{j}"]

@@ -29,7 +29,7 @@ def check_2d(a: np.ndarray, name: str = "X", dtype: np.dtype | type = np.float64
     """Validate a 2-D sample matrix; 1-D input is promoted to a column.
 
     ``dtype`` is the target dtype (float64 historically; the NN stack
-    passes its policy dtype).  No copy when already contiguous and typed.
+    passes its compute dtype).  No copy when already contiguous and typed.
     """
     a = np.asarray(a)
     if a.ndim == 1:

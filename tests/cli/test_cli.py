@@ -1,5 +1,7 @@
 """The trout CLI, exercised through main() in-process."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -124,17 +126,18 @@ def test_hypothetical_job(workspace, capsys):
     assert "Predicted to" in out
 
 
+def _busy_instant(trace) -> float:
+    """An instant halfway through the first job that waited over 2 min,
+    so something is pending then."""
+    jobs = read_swf(trace)
+    rec = jobs.records
+    first = np.flatnonzero(jobs.queue_time_min > 2.0)[0]
+    return float(0.5 * (rec["eligible_time"][first] + rec["start_time"][first]))
+
+
 def test_queue_view(workspace, capsys):
     trace, model = workspace
-    jobs = read_swf(trace)
-    # Pick an instant where something is pending.
-    q = jobs.queue_time_min
-    waiting = np.flatnonzero(q > 2.0)
-    rec = jobs.records
-    t = float(
-        0.5 * (rec["eligible_time"][waiting[0]] + rec["start_time"][waiting[0]])
-    ) if len(waiting) else float(rec["eligible_time"].max())
-    rc = main(["queue", "--trace", str(trace), "--at", str(t)])
+    rc = main(["queue", "--trace", str(trace), "--at", str(_busy_instant(trace))])
     assert rc == 0
     out = capsys.readouterr().out
     assert "queue state at" in out
@@ -143,13 +146,7 @@ def test_queue_view(workspace, capsys):
 
 def test_queue_view_with_predictions(workspace, capsys):
     trace, model = workspace
-    jobs = read_swf(trace)
-    q = jobs.queue_time_min
-    waiting = np.flatnonzero(q > 2.0)
-    if not len(waiting):
-        return
-    rec = jobs.records
-    t = float(0.5 * (rec["eligible_time"][waiting[0]] + rec["start_time"][waiting[0]]))
+    t = _busy_instant(trace)
     rc = main(
         ["queue", "--trace", str(trace), "--at", str(t), "--model", str(model)]
     )
@@ -170,6 +167,60 @@ def test_hypothetical_unknown_partition(workspace, capsys):
     )
     assert rc == 1
     assert "unknown partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "empty", "no_runtime_model"])
+@pytest.mark.parametrize("command", ["predict", "queue", "hypothetical"])
+def test_unloadable_model_dir_fails_cleanly(
+    workspace, tmp_path, capsys, command, damage
+):
+    trace, model = workspace
+    bad = tmp_path / "model"
+    if damage == "empty":
+        bad.mkdir()
+    elif damage == "no_runtime_model":
+        shutil.copytree(model, bad)
+        (bad / "runtime_model.pkl").unlink()
+    argv = {
+        "predict": ["predict", "--job-id", str(read_swf(trace).records["job_id"][0])],
+        "queue": ["queue", "--at", str(_busy_instant(trace))],
+        "hypothetical": ["hypothetical"],
+    }[command]
+    rc = main(argv + ["--model", str(bad), "--trace", str(trace)])
+    assert rc == 1
+    assert f"cannot load model {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--cpus", "0"),
+        ("--cpus", "-4"),
+        ("--nodes", "0"),
+        ("--timelimit-min", "0"),
+        ("--timelimit-min", "-5"),
+        ("--timelimit-min", "nan"),
+        ("--timelimit-min", "inf"),
+        ("--mem-gb", "-1"),
+        ("--mem-gb", "nan"),
+        ("--mem-gb", "inf"),
+    ],
+)
+def test_hypothetical_rejects_invalid_request(workspace, capsys, flag, value):
+    trace, model = workspace
+    argv = ["hypothetical", "--model", str(model), "--trace", str(trace)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_hypothetical_accepts_boundary_request():
+    args = build_parser().parse_args(
+        ["hypothetical", "--model", "m", "--trace", "t.swf", "--cpus", "1",
+         "--nodes", "1", "--mem-gb", "0", "--timelimit-min", "0.5"]
+    )
+    assert (args.cpus, args.nodes, args.mem_gb, args.timelimit_min) == (1, 1, 0.0, 0.5)
 
 
 def test_train_telemetry_report_prints_span_tree(workspace, tmp_path, capsys):

@@ -11,7 +11,6 @@ matrix, and the deployment-time (``features.live``) path.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,18 +138,13 @@ def test_live_path_parallel_equivalence(jobs, ck):
     np.testing.assert_array_equal(pos_s, pos_p)
 
 
-def test_resolve_n_jobs_env(monkeypatch):
-    from repro.features.pipeline import resolve_n_jobs
-
-    monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-    assert resolve_n_jobs(None) == 1
-    assert resolve_n_jobs(3) == 3
-    monkeypatch.setenv("REPRO_N_JOBS", "2")
-    assert resolve_n_jobs(None) == 2
-    assert resolve_n_jobs(1) == 1  # explicit beats the environment
+def test_n_jobs_env_var_is_inert(monkeypatch):
+    """Featurization is serial unless the caller passes ``n_jobs``; the
+    environment has no say, not even a malformed value."""
     monkeypatch.setenv("REPRO_N_JOBS", "abc")
-    with pytest.raises(ValueError, match="REPRO_N_JOBS"):
-        resolve_n_jobs(None)
+    cluster = anvil_cluster(scale=0.05)
+    assert FeaturePipeline(cluster).n_jobs == 1
+    assert FeaturePipeline(cluster, n_jobs=3).n_jobs == 3
 
 
 def test_effective_pipeline_trace_equivalence(trace_jobs, cluster):

@@ -30,13 +30,6 @@ def test_prediction_is_tree_average():
     np.testing.assert_allclose(f.predict(X), manual)
 
 
-def test_parallel_matches_serial():
-    X, y = _data(n=300)
-    serial = RandomForestRegressor(n_estimators=8, seed=3, n_jobs=1).fit(X, y)
-    parallel = RandomForestRegressor(n_estimators=8, seed=3, n_jobs=2).fit(X, y)
-    np.testing.assert_allclose(serial.predict(X), parallel.predict(X))
-
-
 def test_seeded_reproducibility():
     X, y = _data(n=300)
     a = RandomForestRegressor(n_estimators=6, seed=5).fit(X, y).predict(X)

@@ -1,6 +1,7 @@
-"""The network dtype policy and the allocation-free training contract.
+"""The network compute dtype and the allocation-free training contract.
 
-Covers resolution precedence (arg > $REPRO_NN_DTYPE > float32 default),
+Covers dtype validation, the absence of any environment or config knob
+for it (networks compute in float32 unless built in float64 explicitly),
 float32-vs-float64 numeric parity (hypothesis property + a trained-model
 holdout comparison), the astype() switch, and the steady-state allocation
 bound that the buffer-reuse tentpole exists to deliver.
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli.main import build_parser
+from repro.core import TroutConfig
 from repro.nn import (
     Activation,
     Adam,
@@ -20,42 +23,25 @@ from repro.nn import (
     Workspace,
     resolve_nn_dtype,
 )
-from repro.nn.dtypes import ENV_VAR
 from repro.obs import tracing
 
 
 # --------------------------------------------------------------------- #
-# policy resolution
+# dtype selection
 # --------------------------------------------------------------------- #
-def test_resolve_default_is_float32(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_resolve_default_is_float32():
     assert resolve_nn_dtype() == np.float32
-
-
-def test_resolve_env_overrides_default(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "float64")
-    assert resolve_nn_dtype() == np.float64
-
-
-def test_resolve_arg_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "float64")
     assert resolve_nn_dtype("float32") == np.float32
     assert resolve_nn_dtype(np.float64) == np.float64
 
 
-def test_resolve_rejects_bad_values(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    with pytest.raises(ValueError):
-        resolve_nn_dtype("float16")
-    with pytest.raises(ValueError):
-        resolve_nn_dtype("int64")
-    monkeypatch.setenv(ENV_VAR, "bogus")
-    with pytest.raises(ValueError):
-        resolve_nn_dtype()
+def test_resolve_rejects_bad_values():
+    for bad in ("float16", "int64", "bogus"):
+        with pytest.raises(ValueError):
+            resolve_nn_dtype(bad)
 
 
-def test_sequential_dtype_flows_to_layers(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_sequential_dtype_flows_to_layers():
     net = Sequential([Dense(4, 8, seed=0), Activation("elu")], dtype="float64")
     assert net.dtype == np.float64
     assert all(p.dtype == np.float64 for p in net.parameters())
@@ -64,11 +50,20 @@ def test_sequential_dtype_flows_to_layers(monkeypatch):
     assert net.layers[-1].W.dtype == np.float64
 
 
-def test_env_policy_applies_to_new_nets(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "float64")
+def test_nn_dtype_env_var_is_inert(monkeypatch):
+    monkeypatch.setenv("REPRO_NN_DTYPE", "float64")
     net = Sequential([Dense(3, 2, seed=0)])
-    assert net.dtype == np.float64
-    assert net.layers[0].W.dtype == np.float64
+    assert net.dtype == np.float32
+    assert net.layers[0].W.dtype == np.float32
+
+
+def test_no_nn_dtype_config_or_flag():
+    with pytest.raises(TypeError):
+        TroutConfig(nn_dtype="float64")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["train", "--trace", "t.swf", "--out", "m", "--nn-dtype", "float64"]
+        )
 
 
 def test_astype_switch_resets_state():

@@ -6,13 +6,14 @@ import pytest
 from repro.nn.layers import Activation, BatchNorm1d, Dense, Dropout
 
 
-def test_dense_forward_shape_and_linearity():
-    d = Dense(3, 5, seed=0)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_dense_forward_shape_and_linearity(dtype):
+    atol = {"float32": 1e-6, "float64": 1e-12}[dtype]
+    d = Dense(3, 5, seed=0, dtype=dtype)
     x = np.random.default_rng(0).normal(size=(7, 3))
     # forward() returns a reused buffer — copy before the next forward.
     out = d.forward(x).copy()
-    assert out.shape == (7, 5)
-    atol = 1e-12 if d.dtype == np.float64 else 1e-6
+    assert out.shape == (7, 5) and out.dtype == dtype
     np.testing.assert_allclose(d.forward(2 * x) - d.b, 2 * (out - d.b), atol=atol)
 
 
@@ -64,11 +65,13 @@ def test_dropout_zero_rate_noop():
         Dropout(1.0)
 
 
-def test_batchnorm_normalises_batch():
-    bn = BatchNorm1d(4)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batchnorm_normalises_batch(dtype):
+    atol = {"float32": 1e-6, "float64": 1e-9}[dtype]
+    bn = BatchNorm1d(4, dtype=dtype)
     x = np.random.default_rng(0).normal(5.0, 3.0, size=(256, 4))
     out = bn.forward(x, training=True)
-    atol = 1e-9 if bn.dtype == np.float64 else 1e-6
+    assert out.dtype == dtype
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=atol)
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 

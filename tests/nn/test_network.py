@@ -94,13 +94,14 @@ def test_validation_loss_logged():
     assert "val_loss" in hist.epochs[0]
 
 
-def test_predict_batching_consistent():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_batching_consistent(dtype):
     rng = np.random.default_rng(0)
-    net = _make_net()
+    net = _make_net().astype(dtype)
     X = rng.normal(size=(97, 4))
     # float32 BLAS kernels may reorder accumulation with the batch shape,
-    # so the tolerance tracks the policy dtype; float64 stays near-exact.
-    atol = 1e-12 if net.dtype == np.float64 else 1e-5
+    # so the tolerance tracks the dtype; float64 stays near-exact.
+    atol = {"float32": 1e-5, "float64": 1e-12}[dtype]
     np.testing.assert_allclose(
         net.predict(X, batch_size=8), net.predict(X, batch_size=1000), atol=atol
     )

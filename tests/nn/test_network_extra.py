@@ -20,18 +20,19 @@ def _net():
     ).compile("mse", Adam(lr=1e-2))
 
 
-def test_evaluate_batch_weighting_exact():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_evaluate_batch_weighting_exact(dtype):
     """evaluate() must equal the loss over the whole set regardless of
     batch size (sample-weighted accumulation)."""
     rng = np.random.default_rng(0)
-    net = _net()
+    net = _net().astype(dtype)
     X = rng.normal(size=(103, 3))  # deliberately not divisible
     y = rng.normal(size=103)
     full = net.evaluate(X, y, batch_size=1000)
     chunked = net.evaluate(X, y, batch_size=10)
     # Batch-shape-dependent float32 BLAS accumulation order loosens the
-    # bound under the default policy; float64 stays near-exact.
-    rtol = 1e-12 if net.dtype == np.float64 else 1e-6
+    # bound; float64 stays near-exact.
+    rtol = {"float32": 1e-6, "float64": 1e-12}[dtype]
     np.testing.assert_allclose(full, chunked, rtol=rtol)
 
 

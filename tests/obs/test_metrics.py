@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     log_buckets,
+    telemetry_enabled,
 )
 
 
@@ -132,6 +133,15 @@ def test_disabled_registry_hands_out_nulls():
     assert c.value == 0.0 and g.value == 0.0 and h.count == 0
     # Nothing registered: the snapshot stays empty.
     assert r.snapshot() == {"counters": [], "gauges": [], "histograms": []}
+
+
+def test_telemetry_on_by_default_off_under_zero(monkeypatch):
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    assert telemetry_enabled()
+    assert MetricsRegistry().enabled
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
+    assert not telemetry_enabled()
+    assert not MetricsRegistry().enabled
 
 
 def test_concurrent_creation_single_instance():
