@@ -22,7 +22,7 @@ def test_a10_cache_hit_speedup(benchmark, bench_trace, tmp_path):
     jobs = result.jobs[: min(len(result.jobs), 16_000)]
 
     cache = FeatureCache(tmp_path / "features")
-    pipeline = FeaturePipeline(cluster, cache=cache, n_jobs=1)
+    pipeline = FeaturePipeline(cluster, cache=cache)
 
     with tracing.span("a10.cold") as rec_cold:
         cold = pipeline.compute(jobs)

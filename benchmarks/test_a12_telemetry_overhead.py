@@ -46,7 +46,7 @@ def _set_telemetry(flag: bool) -> None:
 def test_a12_pipeline_overhead(benchmark, bench_trace):
     result, cluster = bench_trace
     jobs = result.jobs[: min(len(result.jobs), 12_000)]
-    pipeline = FeaturePipeline(cluster, n_jobs=1)
+    pipeline = FeaturePipeline(cluster)
 
     compute = lambda: pipeline.compute(jobs)
     compute()  # warm caches (interval trees, imports) outside timing

@@ -3,19 +3,29 @@
 "Using interval trees offers an improved solution to this problem,
 resulting in faster compute times for engineering features relating to
 overlapping jobs."  The bench stabs the benchmark trace's pending intervals
-at every eligibility instant through (a) the chunked interval forest and
-(b) the naive O(n·m) scan, on growing slices, and reports the speed-up —
-which must grow with n.
+at every eligibility instant through (a) the paper's chunked interval
+forest (the test oracle) and (b) the naive O(n·m) scan, on growing
+slices, and reports the speed-up — which must grow with n.  A third
+column times the product's sorted range expansion
+(:mod:`repro.features.snapshots`) on the same stabs.
 """
 
-import os
 import time
 
 import numpy as np
 
 from benchmarks.conftest import emit, once
 from repro.eval.report import format_table
-from repro.features.interval_tree import ChunkedIntervalForest, naive_stab_batch
+from repro.features.snapshots import _stab_pairs
+from tests.oracles.interval_tree import ChunkedIntervalForest, naive_stab_batch
+
+
+def _range_expansion(s: np.ndarray, e: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Matches per query through the product's stab, self-pairs included."""
+    order = np.argsort(ts, kind="stable")
+    qry, _ = _stab_pairs(order, ts[order], s, e)
+    # The product drops each job's own interval; the other columns keep it.
+    return np.bincount(qry, minlength=len(ts)) + (e > s)
 
 
 def test_a1_tree_vs_naive_scaling(benchmark, bench_trace):
@@ -40,13 +50,21 @@ def test_a1_tree_vs_naive_scaling(benchmark, bench_trace):
         # Same answers (counts per query suffice; exact sets are covered by
         # the unit tests).
         np.testing.assert_array_equal(np.diff(ptr_t), np.diff(ptr_n))
-        rows.append([n, t_tree * 1e3, t_naive * 1e3, t_naive / t_tree])
+        t0 = time.perf_counter()
+        counts_r = _range_expansion(s, e, ts)
+        t_range = time.perf_counter() - t0
+        np.testing.assert_array_equal(counts_r, np.diff(ptr_n))
+        rows.append(
+            [n, t_tree * 1e3, t_naive * 1e3, t_naive / t_tree, t_range * 1e3]
+        )
         speedups.append(t_naive / t_tree)
 
     emit(
         "a1_interval_tree_speed",
         format_table(
-            ["n jobs", "tree (ms)", "naive (ms)", "speed-up"], rows, float_fmt="{:.2f}"
+            ["n jobs", "tree (ms)", "naive (ms)", "speed-up", "range expansion (ms)"],
+            rows,
+            float_fmt="{:.2f}",
         ),
     )
 
@@ -60,42 +78,3 @@ def test_a1_tree_vs_naive_scaling(benchmark, bench_trace):
     # The speed-up exists at scale and grows with n.
     assert speedups[-1] > 2.0, speedups
     assert speedups[-1] > speedups[0]
-
-
-def test_a1_parallel_chunk_build(bench_trace):
-    """§V: "chunk builds proceed in parallel" — forest construction fans
-    out across processes, with a merged result bit-identical to serial."""
-    result, _ = bench_trace
-    rec = result.jobs.records
-    n = min(len(rec), 32_000)
-    elig = rec["eligible_time"][:n]
-    start = rec["start_time"][:n]
-    # Small chunks so the bench trace yields a real fan-out (the paper's
-    # 100k chunking gives one chunk per tree at bench sizes).
-    chunk, overlap = 2_000, 200
-
-    t0 = time.perf_counter()
-    serial = ChunkedIntervalForest(elig, start, chunk, overlap, n_jobs=1)
-    t_serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    par = ChunkedIntervalForest(elig, start, chunk, overlap, n_jobs=2)
-    t_par = time.perf_counter() - t0
-
-    iv_s, ptr_s = serial.stab_batch(elig)
-    iv_p, ptr_p = par.stab_batch(elig)
-    np.testing.assert_array_equal(iv_s, iv_p)
-    np.testing.assert_array_equal(ptr_s, ptr_p)
-
-    speedup = t_serial / t_par
-    emit(
-        "a1_parallel_chunk_build",
-        format_table(
-            ["n intervals", "chunks", "serial (s)", "n_jobs=2 (s)", "speed-up"],
-            [[n, serial.n_trees, t_serial, t_par, speedup]],
-            float_fmt="{:.3f}",
-        ),
-    )
-    # Process startup can only pay for itself when there is real hardware
-    # parallelism; single-core runners still prove bit-identity above.
-    if (os.cpu_count() or 1) >= 2:
-        assert speedup > 1.0, (t_serial, t_par)

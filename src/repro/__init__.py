@@ -3,7 +3,7 @@ Predicting Job Queue Times in HPC Systems" (SC 2024).
 
 The package builds every layer of the paper's system from scratch on
 NumPy: a Slurm-like scheduler simulator and Anvil-shaped synthetic
-workload (substituting for the proprietary trace), interval-tree feature
+workload (substituting for the proprietary trace), Table II feature
 engineering, a feed-forward NN framework, classical-ML baselines, SMOTE
 balancing, Optuna-style HPO, SHAP-style attribution, and the hierarchical
 TROUT model with its CLI.

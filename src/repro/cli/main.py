@@ -122,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--cutoff-min", type=float, default=10.0)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="feature-engineering worker processes "
-        "(default: 1; results are bit-identical)",
-    )
-    tr.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -308,9 +301,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"unusable --cache-dir: {exc}", file=sys.stderr)
         return 1
-    fm, runtime = build_feature_matrix(
-        jobs, cluster, config, n_jobs=args.n_jobs, cache=cache
-    )
+    fm, runtime = build_feature_matrix(jobs, cluster, config, cache=cache)
     if fm.cache_hit:
         print("feature matrix loaded from cache")
     elif fm.timings:

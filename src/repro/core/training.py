@@ -98,7 +98,6 @@ def build_feature_matrix(
     jobs: JobSet,
     cluster: Cluster,
     config: TroutConfig | None = None,
-    n_jobs: int = 1,
     cache: "FeatureCache | None" = None,
 ) -> tuple[FeatureMatrix, RuntimePredictor]:
     """Featurise a trace with a leakage-safe runtime model.
@@ -107,9 +106,8 @@ def build_feature_matrix(
     subset of every fold's training window) and predicts runtimes for the
     whole trace; those predictions feed the three Pred-Runtime features.
 
-    ``n_jobs`` fans the snapshot stage out across processes (default 1,
-    serial); ``cache`` memoises the finished matrix on disk — both leave
-    the result bit-identical to a serial cold run.
+    ``cache`` memoises the finished matrix on disk; a hit is
+    bit-identical to a cold run.
     """
     config = config or TroutConfig()
     n = len(jobs)
@@ -118,7 +116,7 @@ def build_feature_matrix(
     with tracing.span("runtime_model", rows=n_rt):
         runtime.fit(jobs[np.arange(n_rt)])
         pred = runtime.predict_minutes(jobs)
-    pipeline = FeaturePipeline(cluster, n_jobs=n_jobs, cache=cache)
+    pipeline = FeaturePipeline(cluster, cache=cache)
     fm = pipeline.compute(jobs, pred_runtime_min=pred)
     if fm.cache_hit:
         log.info("feature matrix served from cache (%d rows)", len(fm))

@@ -2,29 +2,21 @@
 
 Submodules:
 
-- :mod:`repro.features.interval_tree` — centred interval trees with fully
-  vectorised batched stabbing queries, plus the paper's chunked
-  build-with-overlap-and-merge scheme and a naive baseline for the A1
-  ablation.
 - :mod:`repro.features.snapshots` — partition queue / running /
-  higher-priority ("ahead") aggregates at each job's eligibility instant.
+  higher-priority ("ahead") aggregates at each job's eligibility instant,
+  stabbed by sorted range expansion.  The paper's chunked interval trees
+  are its test oracle (``tests/oracles/interval_tree.py``).
 - :mod:`repro.features.user_history` — per-user past-day aggregates.
 - :mod:`repro.features.static_specs` — partition/cluster specification
   features.
 - :mod:`repro.features.transforms` — log1p, min-max, standard and Box-Cox
   scaling.
-- :mod:`repro.features.pipeline` — assembles the full Table II matrix,
-  optionally fanning the snapshot stage out across processes.
+- :mod:`repro.features.pipeline` — assembles the full Table II matrix.
 - :mod:`repro.features.cache` — content-addressed on-disk store of
   finished feature matrices.
 """
 
 from repro.features.cache import CacheStats, FeatureCache
-from repro.features.interval_tree import (
-    ChunkedIntervalForest,
-    IntervalTree,
-    naive_stab_batch,
-)
 from repro.features.names import FEATURE_NAMES, feature_index
 from repro.features.pipeline import FeatureMatrix, FeaturePipeline
 from repro.features.transforms import (
@@ -36,9 +28,6 @@ from repro.features.transforms import (
 )
 
 __all__ = [
-    "IntervalTree",
-    "ChunkedIntervalForest",
-    "naive_stab_batch",
     "FEATURE_NAMES",
     "feature_index",
     "FeaturePipeline",

@@ -32,7 +32,7 @@ __all__ = ["mask_future", "live_features", "pending_at", "running_at"]
 
 
 def _sentinel(jobs: JobSet, t_now: float) -> float:
-    """A finite far-future stand-in for 'unknown' (keeps trees balanced)."""
+    """A finite far-future stand-in for 'unknown' start and end times."""
     horizon = max(float(np.max(jobs.records["end_time"], initial=0.0)), t_now)
     return 2.0 * horizon + 1.0e6
 
@@ -90,7 +90,7 @@ def live_features(
         Runtime-model predictions aligned with ``jobs``; these depend only
         on request-time attributes so they carry no future information.
     pipeline:
-        The pipeline to featurize with (default: a serial
+        The pipeline to featurize with (default:
         ``FeaturePipeline(cluster)``).
 
     Returns
@@ -103,17 +103,12 @@ def live_features(
     if len(masked) == 0:
         raise ValueError(f"no jobs known at t_now={t_now}")
     pipeline = pipeline or FeaturePipeline(cluster)
+    # ``mask_future`` keeps exactly these rows, in order.
+    known = np.flatnonzero(jobs.records["submit_time"] <= t_now)
     if pred_runtime_min is not None:
-        keep = jobs.records["submit_time"] <= t_now
-        pred = np.asarray(pred_runtime_min, dtype=np.float64)[keep]
+        pred = np.asarray(pred_runtime_min, dtype=np.float64)[known]
     else:
         pred = None
     fm = pipeline.compute(masked, pred_runtime_min=pred)
     pend_masked = pending_at(masked, t_now)
-    # Map masked positions back to the original trace by job id.
-    orig_by_id = {int(j): i for i, j in enumerate(jobs.records["job_id"])}
-    positions = np.array(
-        [orig_by_id[int(masked.records["job_id"][p])] for p in pend_masked],
-        dtype=np.intp,
-    )
-    return fm.X[pend_masked], positions
+    return fm.X[pend_masked], known[pend_masked]

@@ -2,15 +2,13 @@
 
 :class:`FeaturePipeline` turns an accounting trace into the canonical
 33-column matrix (see :mod:`repro.features.names`): job-request columns
-straight from the records, partition snapshots from the interval-tree
-engine, user past-day history, static partition specs, and the runtime
-model's predictions.  ``log1p`` is applied to every column, as in §III
-("a natural log transformation was applied to all features").
+straight from the records, partition snapshots
+(:mod:`repro.features.snapshots`), user past-day history, static
+partition specs, and the runtime model's predictions.  ``log1p`` is
+applied to every column, as in §III ("a natural log transformation was
+applied to all features").
 
-The snapshot stage — the dominant cost at paper scale — fans out across
-processes when ``n_jobs > 1`` (order-stable merge, bit-identical to
-serial; see ``tests/features/test_parallel_equivalence.py``), and finished
-matrices can be memoised on disk through
+Finished matrices can be memoised on disk through
 :class:`repro.features.cache.FeatureCache`.  Per-stage wall times are
 recorded on the returned matrix for the benches and ``eval.report``.
 """
@@ -68,14 +66,10 @@ class FeaturePipeline:
     ----------
     cluster:
         Supplies the static partition-spec columns.
-    chunk_size, overlap:
-        Interval-tree chunking (paper defaults 100 000 / 10 000).
     log_transform:
         Apply ``log1p`` columnwise (the paper's choice).
-    n_jobs:
-        Worker processes for the snapshot stage (chunk tree builds and
-        per-partition aggregation); default 1, serial.  Any value
-        produces a bit-identical matrix.
+    user_window_s:
+        Look-back window of the user-history columns.
     cache:
         Optional :class:`repro.features.cache.FeatureCache`; when set,
         :meth:`compute` is memoised on a content hash of the trace, the
@@ -85,33 +79,26 @@ class FeaturePipeline:
     def __init__(
         self,
         cluster: Cluster,
-        chunk_size: int = 100_000,
-        overlap: int = 10_000,
         log_transform: bool = True,
         user_window_s: float = 24 * 3600.0,
-        n_jobs: int = 1,
         cache: "FeatureCache | None" = None,
     ) -> None:
         if user_window_s <= 0:
             raise ValueError("user_window_s must be positive")
         self.cluster = cluster
-        self.chunk_size = chunk_size
-        self.overlap = overlap
         self.log_transform = log_transform
         #: §V proposes matching the user-history window to the cluster's
         #: fair-share period ("user jobs ran in past slurm-period"); the
         #: default is the paper's past-day window.
         self.user_window_s = user_window_s
-        self.n_jobs = n_jobs
         self.cache = cache
 
     def signature(self) -> tuple:
         """Everything configuration-side the matrix depends on (cache key
-        material): chunking, transforms, and the cluster's static specs."""
+        material): transforms, the user window and the cluster's static
+        specs."""
         specs = self.cluster.partition_specs()
         return (
-            self.chunk_size,
-            self.overlap,
             self.log_transform,
             self.user_window_s,
             self.cluster.name,
@@ -153,7 +140,7 @@ class FeaturePipeline:
                 log.info("feature cache hit for %d jobs (key %s…)", n, key[:12])
                 return cached
 
-        with tracing.span("featurize", rows=n, n_jobs=self.n_jobs) as root:
+        with tracing.span("featurize", rows=n) as root:
             cols: dict[str, np.ndarray] = {
                 "priority": rec["priority"].astype(np.float64),
                 "timelimit_raw": rec["timelimit_min"].astype(np.float64),
@@ -163,15 +150,7 @@ class FeaturePipeline:
                 "pred_runtime": pred,
             }
             with tracing.span("snapshots"):
-                cols.update(
-                    partition_snapshots(
-                        jobs,
-                        pred_runtime_min=pred,
-                        chunk_size=self.chunk_size,
-                        overlap=self.overlap,
-                        n_jobs=self.n_jobs,
-                    )
-                )
+                cols.update(partition_snapshots(jobs, pred_runtime_min=pred))
             with tracing.span("user_history"):
                 cols.update(user_past_day(jobs, window_s=self.user_window_s))
             with tracing.span("static_specs"):
@@ -203,11 +182,10 @@ class FeaturePipeline:
             "featurize_seconds", help="wall time of full matrix builds"
         ).observe(timings["total"])
         log.info(
-            "featurised %d jobs into %d columns in %.2fs (n_jobs=%d)",
+            "featurised %d jobs into %d columns in %.2fs",
             n,
             X.shape[1],
             timings["total"],
-            self.n_jobs,
         )
         fm = FeatureMatrix(
             X=np.ascontiguousarray(X),

@@ -10,10 +10,15 @@ aggregate, within j's partition, over:
 summing jobs / CPUs / memory / nodes / timelimit (and, optionally, the
 runtime model's predictions).  The job itself is excluded from every set.
 
-Stabbing queries go through the paper's chunked interval trees
-(:class:`~repro.features.interval_tree.ChunkedIntervalForest`), one forest
-per (partition, interval kind); aggregation from the CSR match lists is a
-handful of ``bincount`` calls.
+Stabbing needs no tree: the queries are the partition's own eligibility
+times, so after one stable sort the queries inside an interval
+``[a, b)`` are the contiguous run ``searchsorted(a) .. searchsorted(b)``
+of that order.  The (query, source) pairs are expanded with ``np.repeat``
+and aggregated with ``np.bincount``, which sums each query's matches in
+ascending source order — the order the paper's chunked interval trees
+return them in, so the float sums are bit-identical to a tree-based
+build.  Those trees live on as the test oracle
+(``tests/oracles/interval_tree.py``), timed by the A1 bench.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
-from repro.features.interval_tree import ChunkedIntervalForest
 from repro.obs import tracing
-from repro.utils.parallel import parallel_map
 
 __all__ = ["partition_snapshots", "SNAPSHOT_KEYS"]
 
@@ -48,6 +51,27 @@ SNAPSHOT_KEYS: tuple[str, ...] = (
 )
 
 
+def _stab_pairs(
+    order: np.ndarray, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query, source) pairs with ``lo[source] ≤ ts[query] < hi[source]``.
+
+    ``order`` stably sorts the queries and ``ts`` is the sorted times.
+    Self-pairs are dropped.  Pairs come grouped by ascending source, so
+    every query meets its sources in ascending order: ``np.bincount``
+    sums each query's bin in that order, exactly as it would over the
+    (query, source)-sorted list, with no sort needed.
+    """
+    first = np.searchsorted(ts, lo, side="left")
+    counts = np.maximum(np.searchsorted(ts, hi, side="left") - first, 0)
+    src = np.repeat(np.arange(len(lo)), counts)
+    # Sorted position of each pair: its source's run start plus its offset.
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    qry = order[np.arange(len(src)) + shift]
+    keep = qry != src
+    return qry[keep], src[keep]
+
+
 def _aggregate(
     qids: np.ndarray,
     matches: np.ndarray,
@@ -64,60 +88,40 @@ def _aggregate(
         )
 
 
-def _partition_worker(
-    payload: tuple,
-) -> tuple[dict[str, np.ndarray], "tracing.Span"]:
-    """All aggregates for one partition's job slice, plus its span record.
-
-    Module-level (picklable) and a pure function of its slice, so results
-    are identical whether it runs in-process or in a worker.  The span is
-    built locally (each worker process has a fresh tracer) and shipped
-    back pickled so the parent can graft it into its own trace tree.
-    """
-    (p, elig, start, end, prio, values, pred, chunk_size, overlap, inner) = payload
+def _partition(
+    elig: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    prio: np.ndarray,
+    values: dict[str, np.ndarray],
+    pred: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """All aggregates for one partition's job slice."""
     m = len(elig)
+    order = np.argsort(elig, kind="stable")
+    ts = elig[order]
+    sub = {k: np.zeros(m) for k in SNAPSHOT_KEYS}
 
-    with tracing.Tracer(retain=False).span(
-        f"partition[{p}]", rows=m
-    ) as rec:
-        # --- pending intervals [eligible, start) ------------------------ #
-        pend = ChunkedIntervalForest(elig, start, chunk_size, overlap, n_jobs=inner)
-        iv, indptr = pend.stab_batch(elig)
-        qids = np.repeat(np.arange(m), np.diff(indptr))
-        not_self = iv != qids
-        qq, mi = qids[not_self], iv[not_self]
-        sub = {k: np.zeros(m) for k in SNAPSHOT_KEYS}
-        _aggregate(qq, mi, m, values, "queue", sub)
-        sub["par_queue_pred_timelimit"] += np.bincount(
-            qq, weights=pred[mi], minlength=m
-        )
-        # "Ahead": strictly higher priority among the pending set.
-        ahead = prio[mi] > prio[qq]
-        _aggregate(qq[ahead], mi[ahead], m, values, "ahead", sub)
+    # --- pending intervals [eligible, start) ---------------------------- #
+    qq, mi = _stab_pairs(order, ts, elig, start)
+    _aggregate(qq, mi, m, values, "queue", sub)
+    sub["par_queue_pred_timelimit"] += np.bincount(qq, weights=pred[mi], minlength=m)
+    # "Ahead": strictly higher priority among the pending set.
+    ahead = prio[mi] > prio[qq]
+    _aggregate(qq[ahead], mi[ahead], m, values, "ahead", sub)
 
-        # --- running intervals [start, end) ----------------------------- #
-        runf = ChunkedIntervalForest(start, end, chunk_size, overlap, n_jobs=inner)
-        iv, indptr = runf.stab_batch(elig)
-        qids = np.repeat(np.arange(m), np.diff(indptr))
-        not_self = iv != qids
-        qq, mi = qids[not_self], iv[not_self]
-        _aggregate(qq, mi, m, values, "running", sub)
-        sub["par_running_pred_timelimit"] += np.bincount(
-            qq, weights=pred[mi], minlength=m
-        )
-    return sub, rec
-
-
-def _partition_label(payload: tuple) -> str:
-    return f"partition {payload[0]} snapshot ({len(payload[1])} jobs)"
+    # --- running intervals [start, end) --------------------------------- #
+    qq, mi = _stab_pairs(order, ts, start, end)
+    _aggregate(qq, mi, m, values, "running", sub)
+    sub["par_running_pred_timelimit"] += np.bincount(
+        qq, weights=pred[mi], minlength=m
+    )
+    return sub
 
 
 def partition_snapshots(
     jobs: JobSet,
     pred_runtime_min: np.ndarray | None = None,
-    chunk_size: int = 100_000,
-    overlap: int = 10_000,
-    n_jobs: int | None = 1,
 ) -> dict[str, np.ndarray]:
     """Compute all partition-state aggregates for an eligibility-ordered trace.
 
@@ -131,14 +135,6 @@ def partition_snapshots(
         ``par_queue_pred_timelimit`` / ``par_running_pred_timelimit``
         features.  ``None`` falls back to the requested timelimit (the
         scheduler's own assumption).
-    chunk_size, overlap:
-        Interval-tree chunking (paper: 100 000 / 10 000).
-    n_jobs:
-        Worker processes.  With several partitions the fan-out is one task
-        per partition (chunk builds stay serial inside each worker); with a
-        single partition it is pushed down to the chunk-tree builds.  Both
-        placements merge in deterministic order, so any ``n_jobs`` yields a
-        bit-identical result.
 
     Returns
     -------
@@ -162,32 +158,17 @@ def partition_snapshots(
         "timelimit": rec["timelimit_min"].astype(np.float64),
     }
 
-    partitions = np.unique(rec["partition"])
-    # One level of process parallelism only: across partitions when there
-    # are several (the common case), else across chunk-tree builds.
-    outer = n_jobs if len(partitions) > 1 else 1
-    inner = 1 if len(partitions) > 1 else n_jobs
-    groups = [np.flatnonzero(rec["partition"] == p) for p in partitions]
-    payloads = [
-        (
-            int(p),
-            rec["eligible_time"][g],
-            rec["start_time"][g],
-            rec["end_time"][g],
-            rec["priority"][g],
-            {k: v[g] for k, v in values_all.items()},
-            pred_runtime_min[g],
-            chunk_size,
-            overlap,
-            inner,
-        )
-        for p, g in zip(partitions, groups)
-    ]
-    results = parallel_map(
-        _partition_worker, payloads, n_jobs=outer, label=_partition_label
-    )
-    for g, (sub, rec) in zip(groups, results):
-        tracing.attach(rec)  # graft worker span under the caller's span
+    for p in np.unique(rec["partition"]):
+        g = np.flatnonzero(rec["partition"] == p)
+        with tracing.span(f"partition[{int(p)}]", rows=len(g)):
+            sub = _partition(
+                rec["eligible_time"][g],
+                rec["start_time"][g],
+                rec["end_time"][g],
+                rec["priority"][g],
+                {k: v[g] for k, v in values_all.items()},
+                pred_runtime_min[g],
+            )
         for k in SNAPSHOT_KEYS:
             out[k][g] = sub[k]
     return out

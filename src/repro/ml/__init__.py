@@ -6,7 +6,7 @@ runtime-prediction feature model:
 
 - :class:`~repro.ml.tree.DecisionTreeRegressor` — vectorised CART.
 - :class:`~repro.ml.forest.RandomForestRegressor` — bagged CART with
-  feature subsampling, process-parallel training.
+  feature subsampling.
 - :class:`~repro.ml.boosting.GradientBoostingRegressor` — second-order
   boosting with L2-regularised leaf weights (the XGBoost objective).
 - :class:`~repro.ml.knn.KNeighborsRegressor` — KD-tree k-nearest-neighbour

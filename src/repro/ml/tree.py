@@ -71,18 +71,29 @@ class Tree:
         return self.value[self.apply(X)]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each row, by level-synchronous descent."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int32)
-        active = self.feature[node] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
+        """Leaf node index for each row, by level-synchronous descent.
+
+        Each level visits only the rows still at an internal node, and
+        reads ``X[row, feature]`` from one column-major copy as
+        ``flat[feature * n + row]``.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        n = len(X)
+        flat = X.T.ravel()
+        # Per-node offset of its split feature's column in ``flat``.
+        column = self.feature.astype(np.intp) * n
+        left = self.left.astype(np.intp)
+        right = self.right.astype(np.intp)
+        internal = self.feature != _LEAF
+        node = np.zeros(n, dtype=np.intp)
+        idx = np.arange(n) if internal[0] else np.zeros(0, dtype=np.intp)
+        while len(idx):
             nd = node[idx]
-            f = self.feature[nd]
-            go_left = X[idx, f] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active[idx] = self.feature[node[idx]] != _LEAF
-        return node
+            go_left = flat[column[nd] + idx] <= self.threshold[nd]
+            nd = np.where(go_left, left[nd], right[nd])
+            node[idx] = nd
+            idx = idx[internal[nd]]
+        return node.astype(np.int32)
 
     def decision_depth(self) -> int:
         """Height of the tree (leaf-only tree has depth 0)."""

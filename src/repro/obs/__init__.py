@@ -53,7 +53,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     Span,
     Tracer,
-    attach,
     current_context,
     current_span,
     get_tracer,
@@ -85,7 +84,6 @@ __all__ = [
     "wall_now",
     "Span",
     "Tracer",
-    "attach",
     "current_context",
     "current_span",
     "get_tracer",

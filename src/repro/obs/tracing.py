@@ -19,10 +19,7 @@ flag controls is the *retention* of finished root spans for snapshot
 export (and all registry metrics; see :mod:`repro.obs.metrics`).
 
 Each thread has its own span stack, so concurrent trainers nest
-correctly.  Process-pool workers (``parallel_map``) build their own
-records and ship them back pickled; the parent grafts them under its
-current span with :func:`attach` — per-chunk featurisation timings
-survive the process boundary.
+correctly.
 
 Allocation accounting uses ``sys.getallocatedblocks()`` deltas: the
 count of live CPython heap blocks is maintained by the allocator anyway,
@@ -47,7 +44,6 @@ from repro.obs.metrics import telemetry_enabled
 __all__ = [
     "Span",
     "Tracer",
-    "attach",
     "current_context",
     "current_span",
     "get_tracer",
@@ -204,23 +200,6 @@ class Tracer:
                 with self._roots_lock:
                     self.roots.append(rec)
 
-    def attach(self, rec: Span) -> None:
-        """Graft an externally built record (e.g. from a pool worker).
-
-        The grafted subtree is re-homed into the current trace: its
-        ``trace_id`` (assigned in a worker process that knew nothing of
-        the parent) is rewritten to the enclosing span's so the tree
-        stays one trace end to end.
-        """
-        cur = self.current()
-        if cur is not None:
-            rec.parent_id = cur.span_id
-            _rehome(rec, cur.trace_id)
-            cur.children.append(rec)
-        elif self.retain:
-            with self._roots_lock:
-                self.roots.append(rec)
-
     def drain(self) -> list[Span]:
         """Remove and return all finished root spans."""
         with self._roots_lock:
@@ -232,13 +211,6 @@ class Tracer:
         self._local = threading.local()
         with self._roots_lock:
             self.roots.clear()
-
-
-def _rehome(rec: Span, trace_id: str) -> None:
-    """Rewrite a grafted subtree's trace_id to the adopting trace's."""
-    rec.trace_id = trace_id
-    for child in rec.children:
-        _rehome(child, trace_id)
 
 
 _TRACER = Tracer()
@@ -261,10 +233,6 @@ def current_span() -> Span | None:
 def current_context(request_id: str | None = None) -> TraceContext | None:
     """The global tracer's innermost open-span context on this thread."""
     return _TRACER.current_context(request_id)
-
-
-def attach(rec: Span) -> None:
-    _TRACER.attach(rec)
 
 
 def reset() -> None:

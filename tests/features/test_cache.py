@@ -24,7 +24,7 @@ def cache(tmp_path):
 def computed(trace_jobs, cluster):
     """A small real matrix plus its cache key material."""
     jobs = trace_jobs[:800]
-    pipeline = FeaturePipeline(cluster, chunk_size=300, overlap=30, n_jobs=1)
+    pipeline = FeaturePipeline(cluster)
     fm = pipeline.compute(jobs)
     pred = jobs.records["timelimit_min"].astype(np.float64)
     key = content_key(jobs, pred, pipeline.signature())
@@ -48,9 +48,7 @@ def test_round_trip_bit_identical(cache, computed):
 def test_pipeline_integration_hit(tmp_path, trace_jobs, cluster):
     jobs = trace_jobs[:500]
     cache = FeatureCache(tmp_path / "feat")
-    pipeline = FeaturePipeline(
-        cluster, chunk_size=200, overlap=20, n_jobs=1, cache=cache
-    )
+    pipeline = FeaturePipeline(cluster, cache=cache)
     cold = pipeline.compute(jobs)
     warm = pipeline.compute(jobs)
     assert not cold.cache_hit and warm.cache_hit
@@ -136,9 +134,7 @@ def test_root_colliding_with_file_is_a_clear_error(tmp_path):
 def test_keys_separate_config_trace_and_pred(computed, cluster):
     jobs, pipeline, _, key = computed
     pred = jobs.records["timelimit_min"].astype(np.float64)
-    other_pipeline = FeaturePipeline(
-        cluster, chunk_size=301, overlap=30, n_jobs=1
-    )
+    other_pipeline = FeaturePipeline(cluster, user_window_s=12 * 3600.0)
     assert content_key(jobs, pred, other_pipeline.signature()) != key
     assert content_key(jobs[:-1], pred[:-1], pipeline.signature()) != key
     assert content_key(jobs, pred + 1.0, pipeline.signature()) != key

@@ -4,8 +4,7 @@ A fixed-seed simulated trace is featurised and the SHA-256 of the exact
 bytes of the Table II matrix is compared against a checked-in digest.  Any
 silent numeric drift in featurisation — a reordered reduction, a changed
 default, an accidental dtype change — fails loudly here, whereas metric-
-level tests could quietly absorb it.  The parallel path must reproduce the
-same digest (the serial-equivalence guarantee, at full-pipeline level).
+level tests could quietly absorb it.
 
 If a deliberate featurisation change lands, regenerate the digests with::
 
@@ -15,7 +14,7 @@ If a deliberate featurisation change lands, regenerate the digests with::
     from repro.features.pipeline import FeaturePipeline
     r, c = generate_trace(WorkloadConfig(n_jobs=2000, seed=42, load=0.4,
                                          cluster_scale=0.05))
-    fm = FeaturePipeline(c, chunk_size=500, overlap=50, n_jobs=1).compute(r.jobs)
+    fm = FeaturePipeline(c).compute(r.jobs)
     print(hashlib.sha256(fm.X.tobytes()).hexdigest())
     print(hashlib.sha256(fm.queue_time_min.tobytes()).hexdigest())"
 
@@ -51,20 +50,8 @@ def _digests(fm) -> tuple[str, str]:
 
 def test_golden_matrix_serial(golden_trace):
     result, cluster = golden_trace
-    fm = FeaturePipeline(cluster, chunk_size=500, overlap=50, n_jobs=1).compute(
-        result.jobs
-    )
+    fm = FeaturePipeline(cluster).compute(result.jobs)
     assert fm.X.shape == (2000, 33)
     x_sha, q_sha = _digests(fm)
     assert x_sha == GOLDEN_X_SHA256, "feature matrix bytes drifted"
     assert q_sha == GOLDEN_Q_SHA256, "queue-time target bytes drifted"
-
-
-def test_golden_matrix_parallel(golden_trace):
-    result, cluster = golden_trace
-    fm = FeaturePipeline(cluster, chunk_size=500, overlap=50, n_jobs=3).compute(
-        result.jobs
-    )
-    x_sha, q_sha = _digests(fm)
-    assert x_sha == GOLDEN_X_SHA256, "parallel featurisation diverged from golden"
-    assert q_sha == GOLDEN_Q_SHA256

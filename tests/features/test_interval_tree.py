@@ -1,12 +1,12 @@
-"""Interval tree correctness — including hypothesis equivalence with the
-naive O(n·m) reference on arbitrary interval sets."""
+"""Interval tree oracle correctness — including hypothesis equivalence with
+the naive O(n·m) reference on arbitrary interval sets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features.interval_tree import (
+from tests.oracles.interval_tree import (
     ChunkedIntervalForest,
     IntervalTree,
     naive_stab_batch,

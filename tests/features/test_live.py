@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.training import build_feature_matrix
+from repro.data.schema import JOB_DTYPE, JobSet
 from repro.features.live import live_features, mask_future, pending_at, running_at
 from repro.features.pipeline import FeaturePipeline
 
@@ -85,3 +86,23 @@ def test_pending_set_matches_masked_pipeline(trace_jobs, cluster):
     pend = pending_at(trace_jobs, t_now)
     np.testing.assert_array_equal(np.sort(positions), np.sort(pend))
     assert X_live.shape == (len(pend), 33)
+
+
+def test_duplicate_job_id_maps_pending_row_to_its_own_position(cluster):
+    """Two jobs share an id and only the first is pending at ``t_now``:
+    its row must point back at the first job, not at the id's last use."""
+    rec = np.zeros(3, dtype=JOB_DTYPE)
+    rec["job_id"] = [7, 8, 7]
+    rec["submit_time"] = rec["eligible_time"] = [0.0, 10.0, 20.0]
+    rec["start_time"] = [100.0, 10.0, 20.0]
+    rec["end_time"] = [200.0, 60.0, 30.0]
+    rec["req_cpus"] = rec["req_nodes"] = 1
+    rec["req_mem_gb"] = 1.0
+    rec["timelimit_min"] = 60.0
+    jobs = JobSet(rec, cluster.partition_names)
+    t_now = 50.0
+    np.testing.assert_array_equal(pending_at(jobs, t_now), [0])
+    X_live, positions = live_features(jobs, t_now, cluster)
+    np.testing.assert_array_equal(positions, [0])
+    offline = FeaturePipeline(cluster).compute(jobs)
+    np.testing.assert_array_equal(X_live, offline.X[positions])

@@ -6,6 +6,7 @@ import pytest
 from repro.features.names import FEATURE_GROUPS, FEATURE_NAMES, feature_index
 from repro.features.pipeline import FeaturePipeline
 from repro.features.static_specs import static_partition_features
+from repro.obs import metrics, tracing
 
 
 def test_feature_vocabulary_is_33():
@@ -94,3 +95,22 @@ def test_user_window_configurable(trace_jobs, cluster):
     )
     with _pytest.raises(ValueError):
         FeaturePipeline(cluster, user_window_s=0.0)
+
+
+def test_compute_publishes_the_featurize_telemetry(trace_jobs, cluster):
+    """The stage spans and the row counter are read by benchmarks and the
+    timing report: ``featurize`` holds ``snapshots``, ``user_history`` and
+    ``assemble``, and every cold build counts its rows."""
+    jobs = trace_jobs[:500]
+    rows = metrics.get_registry().counter("featurize_rows_total")
+    before = rows.value
+    with tracing.span("caller") as caller:
+        fm = FeaturePipeline(cluster).compute(jobs)
+    (featurize,) = caller.children
+    assert featurize.name == "featurize"
+    assert featurize.elapsed > 0
+    stages = [child.name for child in featurize.children]
+    for stage in ("snapshots", "user_history", "assemble"):
+        assert stage in stages
+    assert set(fm.timings) >= {"snapshots", "user_history", "assemble", "total"}
+    assert rows.value - before == len(jobs)

@@ -1,10 +1,14 @@
-"""Partition snapshot aggregates vs a brute-force reference."""
+"""Partition snapshot aggregates vs a brute-force reference and the
+chunked interval-forest oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.schema import JOB_DTYPE, JobSet
 from repro.features.snapshots import SNAPSHOT_KEYS, partition_snapshots
+from tests.oracles.interval_tree import forest_snapshots
 
 
 def _trace(n=60, seed=0, n_parts=2):
@@ -73,12 +77,47 @@ def test_snapshots_match_bruteforce(seed):
         np.testing.assert_allclose(got[key], want[key], err_msg=key, atol=1e-9)
 
 
-def test_snapshots_chunked_equals_monolithic():
-    jobs = _trace(n=120, seed=3)
-    a = partition_snapshots(jobs, chunk_size=100_000, overlap=10_000)
-    b = partition_snapshots(jobs, chunk_size=30, overlap=5)
+def _edge_trace(seed, n, n_parts):
+    """A trace on a coarse integer clock, so eligibility times tie, some
+    jobs start the instant they are eligible, some runs last zero seconds,
+    priorities repeat and small partitions hold a single job."""
+    rng = np.random.default_rng(seed)
+    rec = np.zeros(n, dtype=JOB_DTYPE)
+    rec["job_id"] = np.arange(n)
+    rec["partition"] = rng.integers(0, n_parts, n)
+    elig = np.sort(rng.integers(0, max(2, n // 3), n)).astype(np.float64)
+    queue = rng.integers(0, 4, n) * (rng.random(n) < 0.5)
+    run = rng.integers(0, 4, n)
+    rec["submit_time"] = elig
+    rec["eligible_time"] = elig
+    rec["start_time"] = elig + queue
+    rec["end_time"] = elig + queue + run
+    rec["req_cpus"] = rng.integers(1, 64, n)
+    rec["req_mem_gb"] = rng.uniform(0.1, 128, n)
+    rec["req_nodes"] = rng.integers(1, 4, n)
+    rec["timelimit_min"] = rng.choice([30.0, 60.0, 90.5], n)
+    rec["priority"] = rng.integers(0, 3, n).astype(np.float64)
+    return JobSet(rec, tuple(f"p{i}" for i in range(n_parts)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    n_parts=st.integers(1, 5),
+    chunk=st.integers(2, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_snapshots_bitwise_equal_forest_oracle(seed, n, n_parts, chunk):
+    """Range expansion reproduces the chunked-forest aggregates bit for
+    bit, float sums included (same per-query summation order)."""
+    jobs = _edge_trace(seed, n, n_parts)
+    pred = np.random.default_rng(seed).uniform(0.5, 300, n)
+    got = partition_snapshots(jobs, pred_runtime_min=pred)
+    want = forest_snapshots(
+        jobs, pred_runtime_min=pred, chunk_size=chunk, overlap=chunk // 3
+    )
     for key in SNAPSHOT_KEYS:
-        np.testing.assert_allclose(a[key], b[key], err_msg=key, atol=1e-9)
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def test_ahead_subset_of_queue():

@@ -51,18 +51,6 @@ def test_drain_empties_roots():
     assert len(tr.roots) == 0
 
 
-def test_attach_grafts_under_current_span():
-    tr = Tracer(retain=True)
-    worker_rec = Span("chunk", elapsed=0.5)
-    with tr.span("parent") as parent:
-        tr.attach(worker_rec)
-    assert parent.children == [worker_rec]
-    # With no open span, attach retains at root level.
-    other = Span("loose")
-    tr.attach(other)
-    assert tr.roots[-1] is other
-
-
 def test_span_is_picklable_round_trip():
     rec = Span("w", elapsed=1.25, meta={"rows": 10})
     rec.children.append(Span("inner", elapsed=0.25))

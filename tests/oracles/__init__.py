@@ -7,12 +7,22 @@ from tests.oracles.exact_tree import (
     ExactRandomForest,
     exact_runtime_model,
 )
+from tests.oracles.interval_tree import (
+    ChunkedIntervalForest,
+    IntervalTree,
+    forest_snapshots,
+    naive_stab_batch,
+)
 from tests.oracles.reference_sim import ReferenceSimulator
 
 __all__ = [
+    "ChunkedIntervalForest",
     "ExactBuilder",
     "ExactDecisionTree",
     "ExactRandomForest",
+    "IntervalTree",
     "ReferenceSimulator",
     "exact_runtime_model",
+    "forest_snapshots",
+    "naive_stab_batch",
 ]
