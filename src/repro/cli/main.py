@@ -121,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--scale", type=float, default=0.05, help="cluster scale of the trace")
     tr.add_argument("--cutoff-min", type=float, default=10.0)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="on-disk feature cache directory (reused across runs; "
-        "content-hash keyed, so stale entries are impossible)",
-    )
     _add_telemetry_args(tr)
 
     pr = sub.add_parser("predict", help="predict for an existing job")
@@ -291,21 +284,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.eval.report import format_timing_report
-    from repro.features.cache import FeatureCache
 
     jobs = read_swf(args.trace)
     cluster = anvil_cluster(scale=args.scale)
     config = TroutConfig(cutoff_min=args.cutoff_min, seed=args.seed)
-    try:
-        cache = FeatureCache(args.cache_dir) if args.cache_dir is not None else None
-    except OSError as exc:
-        print(f"unusable --cache-dir: {exc}", file=sys.stderr)
-        return 1
-    fm, runtime = build_feature_matrix(jobs, cluster, config, cache=cache)
-    if fm.cache_hit:
-        print("feature matrix loaded from cache")
-    elif fm.timings:
-        print(format_timing_report(fm.timings, cache.stats if cache else None))
+    fm, runtime = build_feature_matrix(jobs, cluster, config)
+    if fm.timings:
+        print(format_timing_report(fm.timings))
     result = train_trout(fm, config)
     result.model.save(args.out)
     with open(Path(args.out) / "runtime_model.pkl", "wb") as fh:
@@ -331,10 +316,13 @@ def _load_bundle(model_dir: Path) -> tuple[TroutModel, object] | None:
     return model, runtime
 
 
-def _featurise(jobs: JobSet, scale: float, runtime) -> np.ndarray:
+def _featurise(jobs: JobSet, scale: float, runtime, rows: np.ndarray) -> np.ndarray:
+    """Feature rows of the jobs at ``rows``; runtimes are predicted for
+    every job, since each row's snapshot columns sum over its queue."""
     cluster = anvil_cluster(scale=scale)
     pred = runtime.predict_minutes(jobs)
-    return FeaturePipeline(cluster).compute(jobs, pred_runtime_min=pred).X
+    fm = FeaturePipeline(cluster).compute(jobs, pred_runtime_min=pred, rows=rows)
+    return fm.X
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -347,12 +335,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if not len(pos):
         print(f"job {args.job_id} not found in {args.trace}", file=sys.stderr)
         return 1
-    X = _featurise(jobs, args.scale, runtime)
-    msg = model.predict_messages(X[pos])[0]
+    X = _featurise(jobs, args.scale, runtime, pos)
+    msg = model.predict_messages(X)[0]
     actual = float(jobs.queue_time_min[pos[0]])
     print(f"job {args.job_id}: {msg}")
-    if args.interval and model.predict(X[pos])[0].long_wait:
-        iv = model.regressor.predict_interval(X[pos], n_samples=30, alpha=0.2)
+    if args.interval and model.predict(X)[0].long_wait:
+        iv = model.regressor.predict_interval(X, n_samples=30, alpha=0.2)
         print(
             f"80% interval: {iv['lower'][0]:.0f} - {iv['upper'][0]:.0f} minutes"
         )
@@ -390,8 +378,8 @@ def _cmd_hypothetical(args: argparse.Namespace) -> int:
     rec["timelimit_min"] = args.timelimit_min
     rec["priority"] = float(np.median(jobs.column("priority")))
     extended = jobs.concat(JobSet(rec, jobs.partition_names))
-    X = _featurise(extended, args.scale, runtime)
-    msg = model.predict_messages(X[-1:])[0]
+    X = _featurise(extended, args.scale, runtime, np.array([len(jobs)]))
+    msg = model.predict_messages(X)[0]
     print(
         f"hypothetical job ({args.partition}, {args.cpus} CPUs, "
         f"{args.mem_gb} GB, {args.nodes} nodes, {args.timelimit_min:.0f} min "

@@ -98,16 +98,12 @@ def build_feature_matrix(
     jobs: JobSet,
     cluster: Cluster,
     config: TroutConfig | None = None,
-    cache: "FeatureCache | None" = None,
 ) -> tuple[FeatureMatrix, RuntimePredictor]:
     """Featurise a trace with a leakage-safe runtime model.
 
     The runtime model trains on the oldest ``test_fraction`` of jobs (a
     subset of every fold's training window) and predicts runtimes for the
     whole trace; those predictions feed the three Pred-Runtime features.
-
-    ``cache`` memoises the finished matrix on disk; a hit is
-    bit-identical to a cold run.
     """
     config = config or TroutConfig()
     n = len(jobs)
@@ -116,10 +112,7 @@ def build_feature_matrix(
     with tracing.span("runtime_model", rows=n_rt):
         runtime.fit(jobs[np.arange(n_rt)])
         pred = runtime.predict_minutes(jobs)
-    pipeline = FeaturePipeline(cluster, cache=cache)
-    fm = pipeline.compute(jobs, pred_runtime_min=pred)
-    if fm.cache_hit:
-        log.info("feature matrix served from cache (%d rows)", len(fm))
+    fm = FeaturePipeline(cluster).compute(jobs, pred_runtime_min=pred)
     return fm, runtime
 
 

@@ -11,12 +11,12 @@ Submodules:
   features.
 - :mod:`repro.features.transforms` — log1p, min-max, standard and Box-Cox
   scaling.
-- :mod:`repro.features.pipeline` — assembles the full Table II matrix.
-- :mod:`repro.features.cache` — content-addressed on-disk store of
-  finished feature matrices.
+- :mod:`repro.features.pipeline` — assembles the Table II matrix, for a
+  whole trace or for selected rows (:mod:`repro.features.rows`).
+- :mod:`repro.features.live` — deployment-time rows for the jobs pending
+  at a query instant, computed for those jobs only.
 """
 
-from repro.features.cache import CacheStats, FeatureCache
 from repro.features.names import FEATURE_NAMES, feature_index
 from repro.features.pipeline import FeatureMatrix, FeaturePipeline
 from repro.features.transforms import (
@@ -32,8 +32,6 @@ __all__ = [
     "feature_index",
     "FeaturePipeline",
     "FeatureMatrix",
-    "FeatureCache",
-    "CacheStats",
     "Log1pTransform",
     "MinMaxScaler",
     "StandardScaler",

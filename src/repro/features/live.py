@@ -15,9 +15,12 @@ time ``t_now``:
 :func:`mask_future` censors a trace at ``t_now`` (unknown starts/ends are
 pushed to a far-future sentinel, which behaves correctly under the
 half-open stabbing semantics), and :func:`live_features` produces feature
-rows for the pending jobs.  The test suite proves these rows are
-*identical* to the offline pipeline's — i.e. the offline training features
-contain no information a deployed predictor would lack.
+rows for the pending jobs.  It asks the pipeline for those rows only
+(``FeaturePipeline.compute(rows=...)``), so a query costs in proportion
+to the queue it answers rather than to the history behind it.  The test
+suite proves these rows are *identical* to the offline pipeline's — i.e.
+the offline training features contain no information a deployed
+predictor would lack.
 """
 
 from __future__ import annotations
@@ -109,6 +112,6 @@ def live_features(
         pred = np.asarray(pred_runtime_min, dtype=np.float64)[known]
     else:
         pred = None
-    fm = pipeline.compute(masked, pred_runtime_min=pred)
     pend_masked = pending_at(masked, t_now)
-    return fm.X[pend_masked], known[pend_masked]
+    fm = pipeline.compute(masked, pred_runtime_min=pred, rows=pend_masked)
+    return fm.X, known[pend_masked]

@@ -8,9 +8,12 @@ partition specs, and the runtime model's predictions.  ``log1p`` is
 applied to every column, as in §III ("a natural log transformation was
 applied to all features").
 
-Finished matrices can be memoised on disk through
-:class:`repro.features.cache.FeatureCache`.  Per-stage wall times are
-recorded on the returned matrix for the benches and ``eval.report``.
+``compute(jobs, rows=idx)`` builds only the rows ``idx``: every builder
+aggregates over the whole trace but answers only the requested jobs
+(:mod:`repro.features.rows`), and the result is bitwise
+``compute(jobs).X[idx]``.  A live query featurizes just the jobs it
+answers this way.  Per-stage wall times are recorded on the returned
+matrix for the benches and ``eval.report``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from repro.data.schema import JobSet
 from repro.features.names import FEATURE_NAMES
+from repro.features.rows import check_rows
 from repro.features.snapshots import partition_snapshots
 from repro.features.static_specs import static_partition_features
 from repro.features.user_history import user_past_day
@@ -38,18 +42,17 @@ class FeatureMatrix:
     """A feature matrix with its provenance.
 
     ``X`` is the log1p-transformed matrix unless ``raw`` was requested;
-    rows align with ``jobs`` (eligibility order preserved).  ``timings``
-    holds per-stage wall seconds derived from the producing run's span
-    tree (see :mod:`repro.obs.tracing`; empty on a cache hit, which sets
-    ``cache_hit`` instead).
+    rows align with ``jobs`` (eligibility order preserved), or with the
+    ``rows`` the matrix was computed for.  ``timings`` holds per-stage
+    wall seconds derived from the producing run's span tree (see
+    :mod:`repro.obs.tracing`).
     """
 
-    X: np.ndarray  # (n_jobs, 33)
+    X: np.ndarray  # (n_rows, 33)
     names: tuple[str, ...]
     queue_time_min: np.ndarray  # regression target, minutes
     log_transformed: bool
     timings: dict[str, float] = field(default_factory=dict, repr=False)
-    cache_hit: bool = False
 
     def column(self, name: str) -> np.ndarray:
         """One feature column by name."""
@@ -70,10 +73,6 @@ class FeaturePipeline:
         Apply ``log1p`` columnwise (the paper's choice).
     user_window_s:
         Look-back window of the user-history columns.
-    cache:
-        Optional :class:`repro.features.cache.FeatureCache`; when set,
-        :meth:`compute` is memoised on a content hash of the trace, the
-        pipeline configuration and the predicted-runtime vector.
     """
 
     def __init__(
@@ -81,7 +80,6 @@ class FeaturePipeline:
         cluster: Cluster,
         log_transform: bool = True,
         user_window_s: float = 24 * 3600.0,
-        cache: "FeatureCache | None" = None,
     ) -> None:
         if user_window_s <= 0:
             raise ValueError("user_window_s must be positive")
@@ -91,35 +89,25 @@ class FeaturePipeline:
         #: fair-share period ("user jobs ran in past slurm-period"); the
         #: default is the paper's past-day window.
         self.user_window_s = user_window_s
-        self.cache = cache
-
-    def signature(self) -> tuple:
-        """Everything configuration-side the matrix depends on (cache key
-        material): transforms, the user window and the cluster's static
-        specs."""
-        specs = self.cluster.partition_specs()
-        return (
-            self.log_transform,
-            self.user_window_s,
-            self.cluster.name,
-            tuple(self.cluster.partition_names),
-            tuple(
-                (k, tuple(np.asarray(v, dtype=np.float64).tolist()))
-                for k, v in sorted(specs.items())
-            ),
-        )
 
     def compute(
         self,
         jobs: JobSet,
         pred_runtime_min: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> FeatureMatrix:
-        """Build the matrix for a full trace.
+        """Build the matrix for a trace, or for its jobs at ``rows``.
 
         ``pred_runtime_min`` comes from
         :class:`repro.core.runtime_model.RuntimePredictor` trained on past
         data only; ``None`` falls back to requested timelimits for the three
-        predicted-runtime columns (useful in tests).
+        predicted-runtime columns (useful in tests).  It covers every job:
+        the snapshot columns sum it over each row's queue and running set.
+
+        ``rows`` is an integer position array (any order, repeats
+        allowed); the returned ``X`` and ``queue_time_min`` align with it
+        and equal the full matrix's rows bitwise.  Positions outside the
+        trace raise ``ValueError``.
         """
         rec = jobs.records
         n = len(jobs)
@@ -131,30 +119,28 @@ class FeaturePipeline:
             pred = np.asarray(pred_runtime_min, dtype=np.float64)
             if pred.shape != (n,):
                 raise ValueError("pred_runtime_min must align with jobs")
+        rows = check_rows(rows, n)
+        sel = rec[rows]
 
-        key: str | None = None
-        if self.cache is not None:
-            key = self.cache.key_for(jobs, pred, self.signature())
-            cached = self.cache.load(key)
-            if cached is not None:
-                log.info("feature cache hit for %d jobs (key %s…)", n, key[:12])
-                return cached
-
-        with tracing.span("featurize", rows=n) as root:
+        with tracing.span("featurize", rows=len(rows)) as root:
             cols: dict[str, np.ndarray] = {
-                "priority": rec["priority"].astype(np.float64),
-                "timelimit_raw": rec["timelimit_min"].astype(np.float64),
-                "req_cpus": rec["req_cpus"].astype(np.float64),
-                "req_mem": rec["req_mem_gb"].astype(np.float64),
-                "req_nodes": rec["req_nodes"].astype(np.float64),
-                "pred_runtime": pred,
+                "priority": sel["priority"].astype(np.float64),
+                "timelimit_raw": sel["timelimit_min"].astype(np.float64),
+                "req_cpus": sel["req_cpus"].astype(np.float64),
+                "req_mem": sel["req_mem_gb"].astype(np.float64),
+                "req_nodes": sel["req_nodes"].astype(np.float64),
+                "pred_runtime": pred[rows],
             }
             with tracing.span("snapshots"):
-                cols.update(partition_snapshots(jobs, pred_runtime_min=pred))
+                cols.update(
+                    partition_snapshots(jobs, pred_runtime_min=pred, rows=rows)
+                )
             with tracing.span("user_history"):
-                cols.update(user_past_day(jobs, window_s=self.user_window_s))
+                cols.update(
+                    user_past_day(jobs, window_s=self.user_window_s, rows=rows)
+                )
             with tracing.span("static_specs"):
-                cols.update(static_partition_features(jobs, self.cluster))
+                cols.update(static_partition_features(jobs, self.cluster, rows))
 
             with tracing.span("assemble"):
                 missing = [name for name in FEATURE_NAMES if name not in cols]
@@ -176,24 +162,22 @@ class FeaturePipeline:
         timings = tracing.span_timings(root)
         reg = metrics.get_registry()
         reg.counter(
-            "featurize_rows_total", help="jobs featurised (cache misses only)"
-        ).inc(n)
+            "featurize_rows_total", help="feature rows built"
+        ).inc(len(rows))
         reg.histogram(
-            "featurize_seconds", help="wall time of full matrix builds"
+            "featurize_seconds", help="wall time of matrix builds"
         ).observe(timings["total"])
         log.info(
-            "featurised %d jobs into %d columns in %.2fs",
+            "featurised %d of %d jobs into %d columns in %.2fs",
+            len(rows),
             n,
             X.shape[1],
             timings["total"],
         )
-        fm = FeatureMatrix(
+        return FeatureMatrix(
             X=np.ascontiguousarray(X),
             names=FEATURE_NAMES,
-            queue_time_min=jobs.queue_time_min,
+            queue_time_min=jobs.queue_time_min[rows],
             log_transformed=self.log_transform,
             timings=timings,
         )
-        if self.cache is not None and key is not None:
-            self.cache.store(key, fm)
-        return fm

@@ -19,6 +19,12 @@ ascending source order — the order the paper's chunked interval trees
 return them in, so the float sums are bit-identical to a tree-based
 build.  Those trees live on as the test oracle
 (``tests/oracles/interval_tree.py``), timed by the A1 bench.
+
+Asked for some ``rows`` only (:mod:`repro.features.rows`), the queries
+are just those rows' eligibility times, stabbed against every interval
+of their partitions.  Sources still come in ascending order, so each
+``np.bincount`` sums every query's matches in the full build's order and
+the requested rows are bitwise the full build's.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
+from repro.features.rows import check_rows, group_rows
 from repro.obs import tracing
 
 __all__ = ["partition_snapshots", "SNAPSHOT_KEYS"]
@@ -52,12 +59,17 @@ SNAPSHOT_KEYS: tuple[str, ...] = (
 
 
 def _stab_pairs(
-    order: np.ndarray, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    order: np.ndarray,
+    ts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query_job: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(query, source) pairs with ``lo[source] ≤ ts[query] < hi[source]``.
 
     ``order`` stably sorts the queries and ``ts`` is the sorted times.
-    Self-pairs are dropped.  Pairs come grouped by ascending source, so
+    Query ``i`` is source ``query_job[i]``'s own eligibility time, and
+    those self-pairs are dropped.  Pairs come grouped by ascending source, so
     every query meets its sources in ascending order: ``np.bincount``
     sums each query's bin in that order, exactly as it would over the
     (query, source)-sorted list, with no sort needed.
@@ -68,7 +80,7 @@ def _stab_pairs(
     # Sorted position of each pair: its source's run start plus its offset.
     shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
     qry = order[np.arange(len(src)) + shift]
-    keep = qry != src
+    keep = query_job[qry] != src
     return qry[keep], src[keep]
 
 
@@ -95,23 +107,26 @@ def _partition(
     prio: np.ndarray,
     values: dict[str, np.ndarray],
     pred: np.ndarray,
+    query_job: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """All aggregates for one partition's job slice."""
-    m = len(elig)
-    order = np.argsort(elig, kind="stable")
-    ts = elig[order]
+    """All aggregates for one partition's job slice, at the eligibility
+    instants of its jobs ``query_job``."""
+    m = len(query_job)
+    q_elig = elig[query_job]
+    order = np.argsort(q_elig, kind="stable")
+    ts = q_elig[order]
     sub = {k: np.zeros(m) for k in SNAPSHOT_KEYS}
 
     # --- pending intervals [eligible, start) ---------------------------- #
-    qq, mi = _stab_pairs(order, ts, elig, start)
+    qq, mi = _stab_pairs(order, ts, elig, start, query_job)
     _aggregate(qq, mi, m, values, "queue", sub)
     sub["par_queue_pred_timelimit"] += np.bincount(qq, weights=pred[mi], minlength=m)
     # "Ahead": strictly higher priority among the pending set.
-    ahead = prio[mi] > prio[qq]
+    ahead = prio[mi] > prio[query_job][qq]
     _aggregate(qq[ahead], mi[ahead], m, values, "ahead", sub)
 
     # --- running intervals [start, end) --------------------------------- #
-    qq, mi = _stab_pairs(order, ts, start, end)
+    qq, mi = _stab_pairs(order, ts, start, end, query_job)
     _aggregate(qq, mi, m, values, "running", sub)
     sub["par_running_pred_timelimit"] += np.bincount(
         qq, weights=pred[mi], minlength=m
@@ -122,6 +137,7 @@ def _partition(
 def partition_snapshots(
     jobs: JobSet,
     pred_runtime_min: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Compute all partition-state aggregates for an eligibility-ordered trace.
 
@@ -135,11 +151,14 @@ def partition_snapshots(
         ``par_queue_pred_timelimit`` / ``par_running_pred_timelimit``
         features.  ``None`` falls back to the requested timelimit (the
         scheduler's own assumption).
+    rows:
+        Positions of the jobs to aggregate for (default: all); see
+        :mod:`repro.features.rows`.
 
     Returns
     -------
-    Mapping of :data:`SNAPSHOT_KEYS` to ``(n_jobs,)`` arrays, aligned with
-    the input order.
+    Mapping of :data:`SNAPSHOT_KEYS` to arrays aligned with ``rows`` (the
+    input order by default).
     """
     n = len(jobs)
     rec = jobs.records
@@ -150,7 +169,8 @@ def partition_snapshots(
         if pred_runtime_min.shape != (n,):
             raise ValueError("pred_runtime_min must have one value per job")
 
-    out: dict[str, np.ndarray] = {k: np.zeros(n) for k in SNAPSHOT_KEYS}
+    rows = check_rows(rows, n)
+    out: dict[str, np.ndarray] = {k: np.zeros(len(rows)) for k in SNAPSHOT_KEYS}
     values_all = {
         "cpus": rec["req_cpus"].astype(np.float64),
         "mem": rec["req_mem_gb"].astype(np.float64),
@@ -158,9 +178,8 @@ def partition_snapshots(
         "timelimit": rec["timelimit_min"].astype(np.float64),
     }
 
-    for p in np.unique(rec["partition"]):
-        g = np.flatnonzero(rec["partition"] == p)
-        with tracing.span(f"partition[{int(p)}]", rows=len(g)):
+    for p, g, sel, local in group_rows(rec["partition"], rows):
+        with tracing.span(f"partition[{int(p)}]", rows=len(sel)):
             sub = _partition(
                 rec["eligible_time"][g],
                 rec["start_time"][g],
@@ -168,7 +187,8 @@ def partition_snapshots(
                 rec["priority"][g],
                 {k: v[g] for k, v in values_all.items()},
                 pred_runtime_min[g],
+                local,
             )
         for k in SNAPSHOT_KEYS:
-            out[k][g] = sub[k]
+            out[k][sel] = sub[k]
     return out

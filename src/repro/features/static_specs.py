@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
+from repro.features.rows import check_rows
 from repro.slurm.resources import Cluster
 
 __all__ = ["static_partition_features", "STATIC_KEYS"]
@@ -32,10 +33,14 @@ _SPEC_TO_KEY = {
 }
 
 
-def static_partition_features(jobs: JobSet, cluster: Cluster) -> dict[str, np.ndarray]:
-    """Broadcast each job's partition specs into per-job columns."""
+def static_partition_features(
+    jobs: JobSet, cluster: Cluster, rows: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """Broadcast each job's partition specs into per-job columns, aligned
+    with ``rows`` (all jobs by default)."""
     specs = cluster.partition_specs()
     p = jobs.records["partition"].astype(np.intp)
     if len(p) and (p.min() < 0 or p.max() >= len(cluster.partitions)):
         raise ValueError("trace references partitions outside the cluster")
+    p = p[check_rows(rows, len(p))]
     return {key: specs[spec][p] for spec, key in _SPEC_TO_KEY.items()}

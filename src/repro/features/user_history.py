@@ -7,7 +7,9 @@ relating to users and their history").
 
 Computed per user with prefix sums over the user's submit-time-sorted jobs:
 the past-day window at any instant is a ``searchsorted`` pair, so the whole
-block is O(n log n).
+block is O(n log n).  Asked for some ``rows`` only
+(:mod:`repro.features.rows`), it visits only those rows' users and
+answers only their queries, from the same prefix sums.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import JobSet
+from repro.features.rows import check_rows, group_rows
 
 __all__ = ["user_past_day", "USER_KEYS", "PAST_DAY_S"]
 
@@ -29,7 +32,11 @@ USER_KEYS: tuple[str, ...] = (
 )
 
 
-def user_past_day(jobs: JobSet, window_s: float = PAST_DAY_S) -> dict[str, np.ndarray]:
+def user_past_day(
+    jobs: JobSet,
+    window_s: float = PAST_DAY_S,
+    rows: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
     """Aggregates over each user's submissions in ``[t − window, t)``.
 
     ``t`` is the job's eligibility instant; the job's own submission is
@@ -37,24 +44,23 @@ def user_past_day(jobs: JobSet, window_s: float = PAST_DAY_S) -> dict[str, np.nd
     immediately-eligible jobs) and is **excluded** — the features describe
     the user's *other* recent activity.
 
-    Returns a mapping of :data:`USER_KEYS` to arrays aligned with the
-    input order.
+    Returns a mapping of :data:`USER_KEYS` to arrays aligned with
+    ``rows`` (the input order by default).
     """
     if window_s <= 0:
         raise ValueError(f"window_s must be positive, got {window_s}")
     rec = jobs.records
-    n = len(jobs)
-    out = {k: np.zeros(n) for k in USER_KEYS}
+    rows = check_rows(rows, len(jobs))
+    out = {k: np.zeros(len(rows)) for k in USER_KEYS}
     values = {
         "cpus": rec["req_cpus"].astype(np.float64),
         "mem": rec["req_mem_gb"].astype(np.float64),
         "nodes": rec["req_nodes"].astype(np.float64),
         "timelimit": rec["timelimit_min"].astype(np.float64),
     }
-    for user in np.unique(rec["user_id"]):
-        g = np.flatnonzero(rec["user_id"] == user)
+    for _user, g, sel, local in group_rows(rec["user_id"], rows):
         submit = rec["submit_time"][g]
-        elig = rec["eligible_time"][g]
+        elig = rec["eligible_time"][g][local]
         order = np.argsort(submit, kind="stable")
         submit_sorted = submit[order]
         # Prefix sums over the user's jobs in submit order; window bounds
@@ -65,12 +71,13 @@ def user_past_day(jobs: JobSet, window_s: float = PAST_DAY_S) -> dict[str, np.nd
         # Exclude the job's own submission when it falls in its window.
         pos = np.empty(len(g), dtype=np.intp)
         pos[order] = np.arange(len(g))
+        pos = pos[local]
         own_in = (pos >= lo) & (pos < hi)
-        out["user_jobs_past_day"][g] = span - own_in
+        out["user_jobs_past_day"][sel] = span - own_in
         for key, vals in values.items():
             v_sorted = vals[g][order]
             csum = np.concatenate([[0.0], np.cumsum(v_sorted)])
             sums = csum[hi] - csum[lo]
-            sums -= np.where(own_in, vals[g], 0.0)
-            out[f"user_{key}_past_day"][g] = sums
+            sums -= np.where(own_in, vals[g][local], 0.0)
+            out[f"user_{key}_past_day"][sel] = sums
     return out

@@ -15,7 +15,7 @@ from repro.ml.binning import BinnedMatrix
 from repro.ml.tree import Tree, _Builder
 from repro.obs import metrics
 from repro.utils.rng import default_rng
-from repro.utils.validation import check_2d, check_fitted
+from repro.utils.validation import check_fitted
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -117,7 +117,7 @@ class GradientBoostingRegressor(Regressor):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "trees_")
-        X = check_2d(X, "X")
+        X = self._validate_predict(X)
         out = np.full(len(X), self.base_score_)
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(X)
@@ -126,7 +126,7 @@ class GradientBoostingRegressor(Regressor):
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """(n_estimators, n_samples) predictions after each round."""
         check_fitted(self, "trees_")
-        X = check_2d(X, "X")
+        X = self._validate_predict(X)
         out = np.full(len(X), self.base_score_)
         stages = np.empty((len(self.trees_), len(X)))
         for i, tree in enumerate(self.trees_):

@@ -10,6 +10,17 @@ The feature matrix is quantile-binned to uint8 codes exactly once per
 ``fit`` and the resulting :class:`~repro.ml.binning.BinnedMatrix` is
 shared by every tree — bootstrap resamples are row subsets of the codes,
 so the binning cost is amortised across the whole ensemble.
+
+Prediction descends one row per **threshold cell**.  Two rows that fall
+on the same side of every threshold of every tree reach the same leaf in
+every tree, so :meth:`RandomForestRegressor.predict` keys each row by its
+per-feature rank among the forest's sorted distinct thresholds, walks the
+trees for one representative row per distinct key and scatters the sums
+back.  Request-level inputs such as the runtime model's (a few dozen
+CPU/memory/timelimit values) collapse thousands of rows into hundreds of
+cells; continuous inputs leave every row its own cell and cost one
+``searchsorted`` per feature more.  The per-tree sum runs in the same
+order either way, so the output is bitwise the plain tree average.
 """
 
 from __future__ import annotations
@@ -21,9 +32,11 @@ from repro.ml.binning import BinnedMatrix
 from repro.ml.tree import DecisionTreeRegressor, Tree, _Builder
 from repro.obs import metrics
 from repro.utils.rng import default_rng, spawn_seed_sequences
-from repro.utils.validation import check_2d, check_fitted
+from repro.utils.validation import check_fitted
 
 __all__ = ["RandomForestRegressor"]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class RandomForestRegressor(Regressor):
@@ -59,6 +72,16 @@ class RandomForestRegressor(Regressor):
         self.seed = seed
         self.trees_: list[Tree] | None = None
 
+    #: ``(trees_, per-feature sorted distinct thresholds)``, derived from
+    #: whichever ``trees_`` list is current on first use.
+    _edges: tuple[list[Tree], list[np.ndarray]] | None = None
+
+    def __getstate__(self) -> dict:
+        # The thresholds are derived from ``trees_``; never persist them.
+        state = self.__dict__.copy()
+        state.pop("_edges", None)
+        return state
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X, y = self._validate_fit(X, y)
         binned = BinnedMatrix.from_matrix(X)
@@ -93,18 +116,59 @@ class RandomForestRegressor(Regressor):
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the trees' predictions, one descent per threshold cell."""
         check_fitted(self, "trees_")
-        X = check_2d(X, "X")
-        out = np.zeros(len(X), dtype=np.float64)
+        X = self._validate_predict(X)
+        first, cell = self._cells(X)
+        rep = X[first]
+        out = np.zeros(len(rep), dtype=np.float64)
         for tree in self.trees_:
-            out += tree.predict(X)
+            out += tree.predict(rep)
         out /= len(self.trees_)
-        return out
+        return out[cell]
+
+    def _thresholds(self) -> list[np.ndarray]:
+        """Sorted distinct split thresholds of every tree, per feature."""
+        if self._edges is None or self._edges[0] is not self.trees_:
+            feature = np.concatenate([t.feature for t in self.trees_])
+            threshold = np.concatenate([t.threshold for t in self.trees_])
+            self._edges = (
+                self.trees_,
+                [
+                    np.unique(threshold[feature == f])
+                    for f in range(int(feature.max()) + 1)
+                ],
+            )
+        return self._edges[1]
+
+    def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First row of each threshold cell of ``X``, and each row's cell.
+
+        A value's rank ``searchsorted(thresholds, x, "left")`` counts the
+        thresholds strictly below it, so equal ranks mean equal ``x <= t``
+        outcomes for every threshold ``t`` (NaN ranks last and goes right,
+        as in :meth:`Tree.apply`).  The per-feature ranks fold into one
+        int64 key; the key is rank-compressed first whenever the next
+        multiply could overflow.
+        """
+        key = np.zeros(len(X), dtype=np.int64)
+        size = 1  # exclusive upper bound of ``key``
+        for f, edges in enumerate(self._thresholds()):
+            if not len(edges):
+                continue
+            radix = len(edges) + 1
+            if size * radix > _INT64_MAX:
+                _, key = np.unique(key, return_inverse=True)
+                size = int(key.max()) + 1
+            key = key * radix + np.searchsorted(edges, X[:, f], side="left")
+            size *= radix
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        return first, cell
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Across-tree standard deviation — a cheap uncertainty signal."""
         check_fitted(self, "trees_")
-        X = check_2d(X, "X")
+        X = self._validate_predict(X)
         preds = np.stack([tree.predict(X) for tree in self.trees_])
         return preds.std(axis=0)
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.ml.base import Regressor
-from repro.utils.validation import check_2d, check_fitted
+from repro.utils.validation import check_fitted
 
 __all__ = ["KNeighborsRegressor"]
 
@@ -53,7 +53,7 @@ class KNeighborsRegressor(Regressor):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "tree_")
-        X = check_2d(X, "X")
+        X = self._validate_predict(X)
         k = min(self.n_neighbors, len(self._y))
         # Bounded row blocks: peak memory stays O(block × k) however large
         # the query matrix is.

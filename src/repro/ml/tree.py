@@ -35,7 +35,7 @@ from repro.ml.binning import (
     sampled_histograms,
 )
 from repro.utils.rng import default_rng
-from repro.utils.validation import check_2d, check_fitted
+from repro.utils.validation import check_fitted
 
 __all__ = ["DecisionTreeRegressor", "Tree"]
 
@@ -82,15 +82,17 @@ class Tree:
         flat = X.T.ravel()
         # Per-node offset of its split feature's column in ``flat``.
         column = self.feature.astype(np.intp) * n
-        left = self.left.astype(np.intp)
-        right = self.right.astype(np.intp)
+        # ``children[2 * node + go_left]``: right child first, so a row
+        # whose comparison is false — NaN included — goes right.
+        children = np.empty(2 * self.n_nodes, dtype=np.intp)
+        children[0::2] = self.right
+        children[1::2] = self.left
         internal = self.feature != _LEAF
         node = np.zeros(n, dtype=np.intp)
         idx = np.arange(n) if internal[0] else np.zeros(0, dtype=np.intp)
         while len(idx):
             nd = node[idx]
-            go_left = flat[column[nd] + idx] <= self.threshold[nd]
-            nd = np.where(go_left, left[nd], right[nd])
+            nd = children[2 * nd + (flat[column[nd] + idx] <= self.threshold[nd])]
             node[idx] = nd
             idx = idx[internal[nd]]
         return node.astype(np.int32)
@@ -430,9 +432,9 @@ class DecisionTreeRegressor(Regressor):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "tree_")
-        return self.tree_.predict(check_2d(X, "X"))
+        return self.tree_.predict(self._validate_predict(X))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index per row (for tests and leaf-level analyses)."""
         check_fitted(self, "tree_")
-        return self.tree_.apply(check_2d(X, "X"))
+        return self.tree_.apply(self._validate_predict(X))

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Instrument-once, read-anywhere: library code asks the global registry for
-a handle (``get_registry().counter("feature_cache_hits_total")``) and
+a handle (``get_registry().counter("featurize_rows_total")``) and
 bumps it; exporters (:mod:`repro.obs.export`) walk the registry to render
 Prometheus text or a JSON snapshot.
 

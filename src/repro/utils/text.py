@@ -39,26 +39,15 @@ def format_table(
     return "\n".join(out)
 
 
-def format_timing_report(
-    timings: Mapping[str, float],
-    cache_stats: object | None = None,
-) -> str:
-    """Per-stage wall-time table, optionally with cache hit/miss counters.
+def format_timing_report(timings: Mapping[str, float]) -> str:
+    """Per-stage wall-time table.
 
     ``timings`` is the :attr:`FeatureMatrix.timings` mapping (stage →
-    seconds); ``cache_stats`` duck-types
-    :class:`repro.features.cache.CacheStats`.  Used by ``trout train -v``
-    and the feature-engineering benches.
+    seconds).  Used by ``trout train`` and the telemetry report.
     """
     total = float(timings.get("total", sum(timings.values())))
     rows = []
     for stage, secs in timings.items():
         share = 100.0 * secs / total if total > 0 else 0.0
         rows.append([stage, secs * 1e3, share])
-    out = format_table(["stage", "wall (ms)", "% of total"], rows)
-    if cache_stats is not None:
-        out += (
-            f"\ncache: {cache_stats.hits} hits, {cache_stats.misses} misses, "
-            f"{cache_stats.stores} stores, {cache_stats.invalid} invalid"
-        )
-    return out
+    return format_table(["stage", "wall (ms)", "% of total"], rows)

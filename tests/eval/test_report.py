@@ -44,14 +44,6 @@ def test_format_timing_report_missing_total_sums_stages():
     assert "25.00" in row_a
 
 
-def test_format_timing_report_cache_stats_line():
-    class Stats:
-        hits, misses, stores, invalid = 3, 1, 1, 0
-
-    text = format_timing_report({"total": 1.0}, Stats())
-    assert "3 hits" in text and "1 misses" in text
-
-
 def test_density_series_normalised():
     rng = np.random.default_rng(0)
     q = rng.lognormal(1.0, 2.0, 5000)

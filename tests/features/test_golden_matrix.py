@@ -17,8 +17,6 @@ If a deliberate featurisation change lands, regenerate the digests with::
     fm = FeaturePipeline(c).compute(r.jobs)
     print(hashlib.sha256(fm.X.tobytes()).hexdigest())
     print(hashlib.sha256(fm.queue_time_min.tobytes()).hexdigest())"
-
-and bump :data:`repro.features.cache.CACHE_VERSION`.
 """
 
 from __future__ import annotations

@@ -52,3 +52,14 @@ def test_finite_column_past_bin_limit_splits():
     model = DecisionTreeRegressor(max_depth=1).fit(X, y)
     assert model.tree_.n_leaves == 2 and model.tree_.feature[0] == 0
     assert np.mean(np.abs(model.predict(X) - y)) < 0.1
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("n_cols", [1, 4])
+def test_predict_rejects_a_wrong_column_count(name, n_cols):
+    """A model fitted on 2 columns names both counts instead of reading
+    the first 2 columns of a wider matrix or indexing past a narrower."""
+    X, y = _data()
+    model = MODELS[name]().fit(X, y)
+    with pytest.raises(ValueError, match=f"X has {n_cols} columns .* fitted on 2"):
+        model.predict(np.zeros((3, n_cols)))

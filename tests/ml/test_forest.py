@@ -1,9 +1,12 @@
 """Random forest behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeRegressor, RandomForestRegressor
+from repro.ml.tree import Tree
 
 
 def _data(n=800, seed=0):
@@ -73,3 +76,110 @@ def test_validation():
         RandomForestRegressor(n_estimators=0)
     with pytest.raises(RuntimeError):
         RandomForestRegressor().predict(np.zeros((2, 2)))
+
+
+# --------------------------------------------------------------------- #
+# threshold-cell inference
+# --------------------------------------------------------------------- #
+def _tree_mean(forest, X):
+    """The plain per-tree sum, in tree order, over every row."""
+    out = np.zeros(len(X))
+    for tree in forest.trees_:
+        out += tree.predict(X)
+    out /= len(forest.trees_)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_predict_is_bitwise_the_per_tree_sum(kind):
+    rng = np.random.default_rng(7)
+    if kind == "discrete":
+        X = rng.integers(0, 3, size=(900, 4)).astype(np.float64)
+    else:
+        X = rng.normal(size=(900, 4))
+    y = np.sin(X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=len(X))
+    f = RandomForestRegressor(n_estimators=12, seed=1).fit(X, y)
+    Xq = np.vstack([X, rng.permutation(X), rng.normal(size=(200, 4))])
+    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+    if kind == "discrete":
+        assert len(f._cells(X)[0]) <= 3**4
+
+
+def test_values_on_thresholds_and_non_finite_rows():
+    """Rows one ulp either side of a threshold, and on it, share every
+    other value, so only a correct rank keeps them in separate cells."""
+    X, y = _data(n=400)
+    f = RandomForestRegressor(n_estimators=8, seed=2).fit(X, y)
+    rng = np.random.default_rng(0)
+    rows = []
+    for tree in f.trees_:
+        for node in np.flatnonzero(tree.feature >= 0):
+            thr = tree.threshold[node]
+            base = rng.normal(size=X.shape[1])
+            for v in (thr, np.nextafter(thr, np.inf), np.nextafter(thr, -np.inf)):
+                row = base.copy()
+                row[tree.feature[node]] = v
+                rows.append(row)
+    special = rng.choice([np.inf, -np.inf, np.nan, 0.0], size=(64, X.shape[1]))
+    Xq = np.vstack([np.array(rows), special])
+    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+
+
+def test_nan_goes_right_in_tree_descent():
+    X = np.arange(10.0).reshape(-1, 1)
+    tree = DecisionTreeRegressor(max_depth=1).fit(X, (X[:, 0] > 4).astype(float)).tree_
+    assert tree.feature[0] == 0
+    leaves = tree.apply(np.array([[np.nan], [-np.inf], [np.inf]]))
+    np.testing.assert_array_equal(
+        leaves, [tree.right[0], tree.left[0], tree.right[0]]
+    )
+
+
+def test_cell_keys_survive_int64_overflow():
+    """40 columns with 7 thresholds each: the radix product 8**40 passes
+    2**63, so the key must be rank-compressed on the way.  Without it the
+    first columns' ranks would be shifted out of the int64 key."""
+    n_features, cuts = 40, np.arange(1.0, 8.0)
+    f = RandomForestRegressor(n_estimators=1)
+    f.n_features_in_ = n_features
+    f.trees_ = [
+        Tree(
+            feature=np.array([j, -1, -1], dtype=np.int32),
+            threshold=np.array([t, 0.0, 0.0]),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.array([0.0, -(j + t), j * t + 0.5]),
+            n_samples=np.array([2, 1, 1]),
+        )
+        for j in range(n_features)
+        for t in cuts
+    ]
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 9, size=(50, n_features)).astype(np.float64)
+    # Each base row again with only its first column changed.
+    moved = base.copy()
+    moved[:, 0] = (moved[:, 0] + 4) % 9
+    Xq = np.vstack([base, moved, base])
+    first, cell = f._cells(Xq)
+    assert len(first) == len(np.unique(Xq, axis=0))
+    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+
+
+def test_thresholds_are_never_pickled():
+    X, y = _data(n=300)
+    f = RandomForestRegressor(n_estimators=4, seed=0).fit(X, y)
+    before = f.predict(X)
+    loaded = pickle.loads(pickle.dumps(f))
+    assert "_edges" not in loaded.__dict__
+    np.testing.assert_array_equal(loaded.predict(X), before)
+    # A model pickled before the fitted column count was recorded.
+    del loaded.__dict__["n_features_in_"]
+    np.testing.assert_array_equal(loaded.predict(X), before)
+
+
+def test_refit_rederives_the_thresholds():
+    X, y = _data(n=300)
+    f = RandomForestRegressor(n_estimators=4, seed=0).fit(X, y)
+    f.predict(X)
+    f.fit(X[:, ::-1], -y)
+    np.testing.assert_array_equal(f.predict(X), _tree_mean(f, X))
