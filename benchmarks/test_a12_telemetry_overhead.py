@@ -3,38 +3,35 @@
 The observability layer's contract (README "Observability", DESIGN.md §7):
 instrumentation is coarse-grained enough to leave on — instrumented runs
 stay within 5 % of a disabled-telemetry run, and with ``REPRO_TELEMETRY=0``
-the residual cost of the null instruments is within 1 %.  The gate
-measures the feature pipeline (the densest span/counter region) plus a
-microbench of the null-instrument path itself.
+the residual cost of the null instruments is within 1 %.  The gate times
+a seeded quick-start classifier fit on the benchmark features: its epoch
+spans, ``nn_alloc_blocks_per_epoch`` gauge and ``MetricsCallback`` gauges
+are the densest instrumentation per second of real work.  A microbench
+covers the null-instrument path itself.
 
-Medians over several repetitions are compared, with a small absolute
-slack so sub-millisecond jitter on fast machines cannot fail the ratio.
+Disabled and enabled fits alternate (the side that runs first alternates
+too), so drift in the host's speed hits both sides alike, and their
+medians are compared with no absolute slack.
 """
 
+import gc
 import statistics
 import time
 
 from benchmarks.conftest import emit, once
+from repro.core.classifier import QuickStartClassifier
+from repro.core.config import ClassifierConfig
 from repro.eval.report import format_table
-from repro.features.pipeline import FeaturePipeline
 from repro.obs import metrics, tracing
 
-REPS = 5
+#: Alternated off/on fits per side.  Many short fits beat a few long
+#: ones: the host's speed drifts over seconds.  On a 2-vCPU container the
+#: ratio of medians stayed within 0.98-1.02 over 11 runs, against
+#: 0.84-1.24 for 7 full-length fits timed with the GC running.
+REPS = 50
 #: Relative ceilings from the overhead contract.
 MAX_ENABLED_OVERHEAD = 1.05
 MAX_DISABLED_OVERHEAD = 1.01
-#: Absolute slack (seconds) under which the ratio gate is vacuous —
-#: protects against noise dominating on small traces / fast machines.
-ABS_SLACK_S = 0.05
-
-
-def _median_runtime(fn, reps=REPS):
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
 
 
 def _set_telemetry(flag: bool) -> None:
@@ -43,36 +40,58 @@ def _set_telemetry(flag: bool) -> None:
     tracing.reset()
 
 
-def test_a12_pipeline_overhead(benchmark, bench_trace):
-    result, cluster = bench_trace
-    jobs = result.jobs[: min(len(result.jobs), 12_000)]
-    pipeline = FeaturePipeline(cluster)
-
-    compute = lambda: pipeline.compute(jobs)
-    compute()  # warm caches (interval trees, imports) outside timing
-
+def _timed(fn) -> float:
+    """Wall time of one call with the cyclic GC paused, as ``timeit`` does:
+    a collection landing in one sample would cost more than the
+    instrumentation being measured."""
+    gc.collect()
+    gc.disable()
     try:
-        _set_telemetry(False)
-        t_off = _median_runtime(compute)
-        _set_telemetry(True)
-        t_on = _median_runtime(compute)
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def test_a12_training_overhead(benchmark, bench_fm, bench_config):
+    fm, _ = bench_fm
+    X = fm.X
+    y_long = (fm.queue_time_min > bench_config.cutoff_min).astype(int)
+
+    # Four epochs with patience four: early stopping never fires, so every
+    # fit does the same work (~80 ms at 12 k rows on a 2-vCPU container).
+    cfg = ClassifierConfig(epochs=4, patience=4)
+
+    def fit():
+        QuickStartClassifier(X.shape[1], cfg, seed=0).fit(X, y_long)
+
+    fit()  # warm imports and allocator pools outside timing
+
+    samples = {False: [], True: []}
+    try:
+        for rep in range(REPS):
+            order = (False, True) if rep % 2 == 0 else (True, False)
+            for flag in order:
+                _set_telemetry(flag)
+                samples[flag].append(_timed(fit))
     finally:
         _set_telemetry(True)
+    t_off = statistics.median(samples[False])
+    t_on = statistics.median(samples[True])
 
-    ratio = t_on / t_off if t_off > 0 else 1.0
+    ratio = t_on / t_off
     emit(
         "a12_telemetry_overhead",
         format_table(
-            ["n jobs", "off (s)", "on (s)", "ratio"],
-            [[len(jobs), t_off, t_on, ratio]],
+            ["n rows", "reps", "off (s)", "on (s)", "ratio"],
+            [[len(X), REPS, t_off, t_on, ratio]],
             float_fmt="{:.4f}",
         ),
     )
-    once(benchmark, compute)
+    once(benchmark, fit)
 
-    assert (
-        ratio <= MAX_ENABLED_OVERHEAD or (t_on - t_off) <= ABS_SLACK_S
-    ), (t_off, t_on)
+    assert ratio <= MAX_ENABLED_OVERHEAD, (samples[False], samples[True])
 
 
 def test_a12_null_instrument_cost():

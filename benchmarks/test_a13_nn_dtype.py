@@ -4,7 +4,7 @@ The allocation-free float32 path exists purely for speed, so this bench
 measures the trade where it matters: a regression-scale training run
 (``REPRO_BENCH_NN_ROWS`` rows, default 30 000, of a synthetic log1p
 queue-time task) through the production architecture (128/64/32 ELU,
-smooth-L1, Adam with clip_norm).  Gates:
+smooth-L1, Adam).  Gates:
 
 - float32 epochs must be at least 1.5× faster than float64 (median of
   the steady-state epochs, timed via the training span tree);
@@ -22,7 +22,7 @@ import numpy as np
 
 from benchmarks.conftest import emit, once
 from repro.eval.report import format_table
-from repro.nn import Activation, Adam, Dense, Dropout, Sequential
+from repro.nn import Activation, Adam, Dense, Dropout, Sequential, SmoothL1Loss
 from repro.obs import tracing
 
 EPOCHS = 25
@@ -52,9 +52,7 @@ def _build(dtype):
         ]
         w_in = width
     layers.append(Dense(w_in, 1, seed=9))
-    return Sequential(layers, dtype=dtype).compile(
-        "smooth_l1", Adam(lr=1e-3, clip_norm=5.0)
-    )
+    return Sequential(layers, dtype=dtype).compile(SmoothL1Loss(), Adam(lr=1e-3))
 
 
 def _train_and_measure(dtype, data):

@@ -13,7 +13,15 @@ from benchmarks.conftest import emit, once
 from repro.core.classifier import QuickStartClassifier
 from repro.data.splits import holdout_recent
 from repro.eval.report import format_table
-from repro.nn import Activation, Adam, Dense, Dropout, EarlyStopping, Sequential
+from repro.nn import (
+    Activation,
+    Adam,
+    BCEWithLogitsLoss,
+    Dense,
+    Dropout,
+    EarlyStopping,
+    Sequential,
+)
 from repro.utils.rng import default_rng
 
 
@@ -33,7 +41,7 @@ def _train_unbalanced(X, y, cfg, seed):
             layers.append(Dropout(cfg.dropout, seed=rng))
         w = h
     layers.append(Dense(w, 1, init="glorot_uniform", seed=rng))
-    net = Sequential(layers).compile("bce_logits", Adam(lr=cfg.lr))
+    net = Sequential(layers).compile(BCEWithLogitsLoss(), Adam(lr=cfg.lr))
     n_val = max(1, int(0.1 * len(Xs)))
     net.fit(
         Xs[:-n_val],

@@ -46,7 +46,7 @@ def main() -> None:
             f"{t.params['dropout']:.2f}",
             t.value,
         ]
-        for t in study.completed_trials
+        for t in study.trials
     ]
     print(format_table(["trial", "width", "depth", "lr", "dropout", "val MAPE %"], rows))
     print(f"\nbest: {study.best_params}  (val MAPE {study.best_value:.1f}%)")

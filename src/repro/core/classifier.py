@@ -17,6 +17,7 @@ from repro.features.transforms import StandardScaler
 from repro.nn import (
     Activation,
     Adam,
+    BCEWithLogitsLoss,
     Dense,
     Dropout,
     EarlyStopping,
@@ -70,7 +71,7 @@ class QuickStartClassifier:
             width_in = width
         layers.append(Dense(width_in, 1, init="glorot_uniform", seed=rng))
         net = Sequential(layers)
-        net.compile("bce_logits", Adam(lr=cfg.lr))
+        net.compile(BCEWithLogitsLoss(), Adam(lr=cfg.lr))
         return net
 
     def fit(self, X: np.ndarray, y_long: np.ndarray) -> "QuickStartClassifier":

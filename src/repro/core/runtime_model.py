@@ -13,8 +13,9 @@ job in our data used only 15 % of requested wall time, with some power
 users using less than 5 %") and proposes a more robust model as future
 work.  The ``user_history`` feature mode implements that extension: each
 job additionally sees its submitter's *expanding past mean* walltime
-utilisation and past runtime — strictly causal (only jobs submitted
-earlier contribute), so the feature is deployment-safe.
+utilisation and past runtime — strictly causal (only jobs that had
+*ended* before the submit time contribute), so the feature is
+deployment-safe.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ def user_expanding_stats(jobs: JobSet) -> dict[str, np.ndarray]:
     """Per-job causal user-history features.
 
     For each job, the mean walltime utilisation and mean runtime (minutes)
-    of the *same user's strictly earlier submissions* (by submit time; ties
-    broken by position).  Jobs with no history get the population prior.
+    of the *same user's jobs that ended strictly before its submit time* —
+    the only history a deployed model could have seen.  Jobs still queued
+    or running at that moment do not count.  Jobs with no such history get
+    the population prior.
     """
     rec = jobs.records
     n = len(jobs)
@@ -58,16 +61,16 @@ def user_expanding_stats(jobs: JobSet) -> dict[str, np.ndarray]:
     job_rt = jobs.runtime_min
     for user in np.unique(rec["user_id"]):
         g = np.flatnonzero(rec["user_id"] == user)
-        order = np.argsort(rec["submit_time"][g], kind="stable")
-        gs = g[order]
-        cum_u = np.concatenate([[0.0], np.cumsum(job_util[gs])])
-        cum_r = np.concatenate([[0.0], np.cumsum(job_rt[gs])])
-        k = np.arange(len(gs), dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = np.where(k > 0, cum_u[:-1] / np.maximum(k, 1), _UTIL_PRIOR)
-            r = np.where(k > 0, cum_r[:-1] / np.maximum(k, 1), 30.0)
-        util[gs] = u
-        mean_rt[gs] = r
+        by_end = g[np.argsort(rec["end_time"][g], kind="stable")]
+        cum_u = np.concatenate([[0.0], np.cumsum(job_util[by_end])])
+        cum_r = np.concatenate([[0.0], np.cumsum(job_rt[by_end])])
+        # k = number of this user's jobs with end_time < submit_time.
+        ends = rec["end_time"][by_end]
+        k = np.searchsorted(ends, rec["submit_time"][g], side="left")
+        seen = k > 0
+        denom = np.maximum(k, 1)
+        util[g] = np.where(seen, cum_u[k] / denom, _UTIL_PRIOR)
+        mean_rt[g] = np.where(seen, cum_r[k] / denom, 30.0)
     return {"user_mean_utilization": util, "user_mean_runtime_min": mean_rt}
 
 

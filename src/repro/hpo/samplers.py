@@ -1,11 +1,12 @@
-"""Trial samplers.
+"""The trial sampler.
 
-:class:`RandomSampler` draws uniformly in the unit cube.
 :class:`TPESampler` is a compact tree-structured-Parzen-estimator in the
-spirit of Optuna's default: completed trials are split into a "good"
-quantile and the rest, one-dimensional Parzen (Gaussian-kernel) densities
-``l(x)`` / ``g(x)`` are fitted per parameter in unit coordinates, a set of
-candidates is drawn from ``l``, and the candidate maximising ``l/g`` wins.
+spirit of Optuna's default.  Until ``n_startup`` trials have completed it
+draws uniformly in the unit interval.  After that, completed trials are
+split into a "good" quantile and the rest, one-dimensional Parzen
+(Gaussian-kernel) densities ``l(x)`` / ``g(x)`` are fitted per parameter
+in unit coordinates, a set of candidates is drawn from ``l``, and the
+candidate maximising ``l/g`` wins.
 """
 
 from __future__ import annotations
@@ -15,35 +16,11 @@ import numpy as np
 from repro.hpo.space import Param
 from repro.utils.rng import default_rng
 
-__all__ = ["Sampler", "RandomSampler", "TPESampler"]
+__all__ = ["TPESampler"]
 
 
-class Sampler:
-    """Maps (parameter, trial history) → next unit-coordinate value."""
-
-    def __init__(self, seed: int | np.random.Generator | None = None) -> None:
-        self.rng = default_rng(seed)
-
-    def sample_unit(
-        self, param: Param, history_units: np.ndarray, history_values: np.ndarray
-    ) -> float:
-        """Return the next point in [0, 1) for this parameter.
-
-        ``history_units`` / ``history_values`` are the unit coordinates and
-        objective values of completed trials that include the parameter.
-        """
-        raise NotImplementedError
-
-
-class RandomSampler(Sampler):
-    """Uniform independent sampling."""
-
-    def sample_unit(self, param, history_units, history_values) -> float:
-        return float(self.rng.random())
-
-
-class TPESampler(Sampler):
-    """Parzen-estimator sampler with startup random phase.
+class TPESampler:
+    """Parzen-estimator sampler with a uniform random startup phase.
 
     Parameters
     ----------
@@ -65,17 +42,24 @@ class TPESampler(Sampler):
         n_candidates: int = 24,
         bandwidth: float = 0.12,
     ) -> None:
-        super().__init__(seed)
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
         if n_startup < 1 or n_candidates < 1:
             raise ValueError("n_startup and n_candidates must be >= 1")
+        self.rng = default_rng(seed)
         self.n_startup = n_startup
         self.gamma = gamma
         self.n_candidates = n_candidates
         self.bandwidth = bandwidth
 
-    def sample_unit(self, param, history_units, history_values) -> float:
+    def sample_unit(
+        self, param: Param, history_units: np.ndarray, history_values: np.ndarray
+    ) -> float:
+        """Return the next point in [0, 1) for this parameter.
+
+        ``history_units`` / ``history_values`` are the unit coordinates and
+        objective values of completed trials that include the parameter.
+        """
         n = len(history_values)
         if n < self.n_startup:
             return float(self.rng.random())

@@ -2,7 +2,7 @@
 
 An objective receives a :class:`Trial` and calls ``suggest_float`` /
 ``suggest_int`` / ``suggest_categorical``; the study minimises the returned
-value.  Intermediate values can be reported for pruning.
+value, drawing every suggestion from its :class:`~repro.hpo.samplers.TPESampler`.
 
 Example::
 
@@ -18,13 +18,12 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.hpo.pruners import MedianPruner, NopPruner, TrialPruned
-from repro.hpo.samplers import RandomSampler, Sampler
+from repro.hpo.samplers import TPESampler
 from repro.hpo.space import Categorical, Float, Int, SearchSpace
 from repro.utils.logging import get_logger
 
@@ -35,14 +34,12 @@ log = get_logger(__name__)
 
 @dataclass
 class FrozenTrial:
-    """Completed (or pruned) trial record."""
+    """Completed trial record."""
 
     number: int
     params: dict[str, Any]
     units: dict[str, float]
-    value: float | None
-    pruned: bool
-    intermediate: dict[int, float] = field(default_factory=dict)
+    value: float
 
 
 class Trial:
@@ -53,9 +50,7 @@ class Trial:
         self.number = number
         self.params: dict[str, Any] = {}
         self.units: dict[str, float] = {}
-        self.intermediate: dict[int, float] = {}
 
-    # -- suggest API ---------------------------------------------------- #
     def suggest_float(
         self, name: str, low: float, high: float, log: bool = False
     ) -> float:
@@ -80,37 +75,12 @@ class Trial:
         self.params[name] = value
         return value
 
-    # -- pruning API ----------------------------------------------------- #
-    def report(self, step: int, value: float) -> None:
-        """Record an intermediate objective value at ``step``."""
-        self.intermediate[step] = float(value)
-
-    def should_prune(self, step: int) -> bool:
-        """Ask the study's pruner whether to abandon this trial."""
-        if step not in self.intermediate:
-            raise KeyError(f"report(step={step}, ...) before should_prune({step})")
-        history = [
-            t.intermediate for t in self._study.trials if not t.pruned and t.intermediate
-        ]
-        return self._study.pruner.should_prune(
-            step, self.intermediate[step], history
-        )
-
 
 class Study:
-    """Minimisation study.
+    """Minimisation study driven by a TPE sampler."""
 
-    Parameters
-    ----------
-    sampler:
-        Suggestion strategy; defaults to :class:`RandomSampler`.
-    pruner:
-        Intermediate-value pruner; defaults to :class:`MedianPruner`.
-    """
-
-    def __init__(self, sampler: Sampler | None = None, pruner=None) -> None:
-        self.sampler = sampler or RandomSampler()
-        self.pruner = pruner if pruner is not None else MedianPruner()
+    def __init__(self, sampler: TPESampler) -> None:
+        self.sampler = sampler
         self.space = SearchSpace()
         self.trials: list[FrozenTrial] = []
 
@@ -118,7 +88,7 @@ class Study:
     def _history_for(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         units, values = [], []
         for t in self.trials:
-            if not t.pruned and t.value is not None and name in t.units:
+            if name in t.units:
                 units.append(t.units[name])
                 values.append(t.value)
         return np.asarray(units), np.asarray(values)
@@ -126,40 +96,28 @@ class Study:
     def optimize(
         self, objective: Callable[[Trial], float], n_trials: int
     ) -> "Study":
-        """Run ``n_trials`` trials; pruned trials are recorded but unscored."""
+        """Run ``n_trials`` trials."""
         if n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         for _ in range(n_trials):
             trial = Trial(self, number=len(self.trials))
-            try:
-                value = float(objective(trial))
-                pruned = False
-            except TrialPruned:
-                value = None
-                pruned = True
+            value = float(objective(trial))
             self.trials.append(
                 FrozenTrial(
                     number=trial.number,
                     params=dict(trial.params),
                     units=dict(trial.units),
                     value=value,
-                    pruned=pruned,
-                    intermediate=dict(trial.intermediate),
                 )
             )
             log.debug("trial %d: value=%s params=%s", trial.number, value, trial.params)
         return self
 
     @property
-    def completed_trials(self) -> list[FrozenTrial]:
-        return [t for t in self.trials if not t.pruned and t.value is not None]
-
-    @property
     def best_trial(self) -> FrozenTrial:
-        done = self.completed_trials
-        if not done:
+        if not self.trials:
             raise RuntimeError("no completed trials")
-        return min(done, key=lambda t: t.value)
+        return min(self.trials, key=lambda t: t.value)
 
     @property
     def best_value(self) -> float:

@@ -1,4 +1,4 @@
-"""Training callbacks: early stopping, LR schedules, history, telemetry."""
+"""Training callbacks: early stopping, history, telemetry."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.obs import metrics
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.network import Sequential
 
-__all__ = ["Callback", "EarlyStopping", "History", "LRSchedule", "MetricsCallback"]
+__all__ = ["Callback", "EarlyStopping", "History", "MetricsCallback"]
 
 
 class Callback:
@@ -105,25 +105,6 @@ class EarlyStopping(Callback):
         if self.restore_best and self._best_weights is not None:
             for p, best in zip(net.parameters(), self._best_weights):
                 p[...] = best
-
-
-class LRSchedule(Callback):
-    """Multiplicative learning-rate decay every ``step`` epochs."""
-
-    def __init__(self, factor: float = 0.5, step: int = 10, min_lr: float = 1e-6):
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        self.factor = factor
-        self.step = step
-        self.min_lr = min_lr
-
-    def on_epoch_end(self, net, epoch, logs) -> bool:
-        if (epoch + 1) % self.step == 0:
-            opt = net.optimizer
-            opt.lr = max(opt.lr * self.factor, self.min_lr)
-        return False
 
 
 class MetricsCallback(Callback):

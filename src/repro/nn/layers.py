@@ -3,7 +3,7 @@
 Every layer implements ``forward(x, training)`` and ``backward(grad)``
 (which must be called after the corresponding forward, as layers cache the
 activations backprop needs), and exposes parameter / gradient arrays that
-optimisers update in place.
+the optimiser updates in place.
 
 Layers carry the network compute dtype (float32, float64 reference
 — see :mod:`repro.nn.dtypes`) and own a :class:`~repro.nn.dtypes.Workspace`
@@ -57,7 +57,7 @@ class Layer:
 
     @property
     def params(self) -> list[np.ndarray]:
-        """Trainable parameter arrays (updated in place by optimisers)."""
+        """Trainable parameter arrays (updated in place by the optimiser)."""
         return []
 
     @property

@@ -24,13 +24,11 @@ import numpy as np
 
 from repro.nn.dtypes import Workspace
 
-__all__ = ["Loss", "MSELoss", "MAELoss", "SmoothL1Loss", "BCEWithLogitsLoss", "get_loss"]
+__all__ = ["Loss", "SmoothL1Loss", "BCEWithLogitsLoss"]
 
 
 class Loss:
     """Base loss; stateless apart from the cached residuals and buffers."""
-
-    name = "base"
 
     def __init__(self) -> None:
         self._ws = Workspace()
@@ -60,50 +58,8 @@ class Loss:
         return self._ws.buf(tag, like_a.shape, dtype)
 
 
-class MSELoss(Loss):
-    """Mean squared error."""
-
-    name = "mse"
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = self._check(pred, target)
-        self._diff = self._buf("diff", pred, target)
-        np.subtract(pred, target, out=self._diff)
-        sq = self._ws.buf("t", self._diff.shape, self._diff.dtype)
-        np.multiply(self._diff, self._diff, out=sq)
-        return float(sq.mean(dtype=np.float64))
-
-    def backward(self) -> np.ndarray:
-        g = self._ws.buf("grad", self._diff.shape, self._diff.dtype)
-        np.multiply(self._diff, 2.0, out=g)
-        g /= self._diff.size
-        return g
-
-
-class MAELoss(Loss):
-    """Mean absolute error (subgradient 0 at exact zeros)."""
-
-    name = "mae"
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = self._check(pred, target)
-        self._diff = self._buf("diff", pred, target)
-        np.subtract(pred, target, out=self._diff)
-        a = self._ws.buf("t", self._diff.shape, self._diff.dtype)
-        np.abs(self._diff, out=a)
-        return float(a.mean(dtype=np.float64))
-
-    def backward(self) -> np.ndarray:
-        g = self._ws.buf("grad", self._diff.shape, self._diff.dtype)
-        np.sign(self._diff, out=g)
-        g /= self._diff.size
-        return g
-
-
 class SmoothL1Loss(Loss):
     """Huber-style smooth L1: quadratic inside ``beta``, linear outside."""
-
-    name = "smooth_l1"
 
     def __init__(self, beta: float = 1.0) -> None:
         if beta <= 0:
@@ -144,8 +100,6 @@ class BCEWithLogitsLoss(Loss):
     classic ``σ(z) − y``.
     """
 
-    name = "bce_logits"
-
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
         z, y = self._check(pred, target)
         if float(y.min()) < 0.0 or float(y.max()) > 1.0:
@@ -173,16 +127,3 @@ class BCEWithLogitsLoss(Loss):
         np.subtract(self._sig, self._y, out=g)
         g /= self._y.size
         return g
-
-
-_REGISTRY: dict[str, type[Loss]] = {
-    cls.name: cls for cls in (MSELoss, MAELoss, SmoothL1Loss, BCEWithLogitsLoss)
-}
-
-
-def get_loss(name: str, **kwargs) -> Loss:
-    """Instantiate a loss by registry name."""
-    try:
-        return _REGISTRY[name](**kwargs)
-    except KeyError:
-        raise KeyError(f"unknown loss {name!r}; known: {sorted(_REGISTRY)}") from None

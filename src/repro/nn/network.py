@@ -10,9 +10,9 @@ The network computes in float32 unless built with ``dtype="float64"``
 (the reference path; see :mod:`repro.nn.dtypes`) and trains
 allocation-free in steady state: batches are gathered with
 ``np.take(..., out=...)`` into preallocated buffers, layers and losses
-reuse per-shape workspaces, and optimisers update in place — after the
-first epoch warms the buffers up, the net heap-block delta of an epoch
-span stays flat (exported as the ``nn_alloc_blocks_per_epoch`` gauge,
+reuse per-shape workspaces, and the optimiser updates in place — after
+the first epoch warms the buffers up, the net heap-block delta of an
+epoch span stays flat (exported as the ``nn_alloc_blocks_per_epoch`` gauge,
 labelled by dtype).
 """
 
@@ -25,8 +25,8 @@ import numpy as np
 from repro.nn.callbacks import Callback, History
 from repro.nn.dtypes import Workspace, resolve_nn_dtype
 from repro.nn.layers import Layer
-from repro.nn.losses import Loss, get_loss
-from repro.nn.optimizers import Optimizer, get_optimizer
+from repro.nn.losses import Loss
+from repro.nn.optimizers import Adam
 from repro.obs import metrics, tracing
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_2d, check_consistent_length
@@ -40,7 +40,7 @@ class Sequential:
     Usage::
 
         net = Sequential([Dense(33, 128, seed=rng), Activation("elu"), ...])
-        net.compile(loss="smooth_l1", optimizer=Adam(lr=1e-3))
+        net.compile(SmoothL1Loss(), Adam(lr=1e-3))
         net.fit(X, y, epochs=30, batch_size=512, seed=0)
         pred = net.predict(X_new)
 
@@ -59,7 +59,7 @@ class Sequential:
         for layer in layers or ():
             self.add(layer)
         self.loss: Loss | None = None
-        self.optimizer: Optimizer | None = None
+        self.optimizer: Adam | None = None
         self.history = History()
         self._ws = Workspace()
 
@@ -72,7 +72,7 @@ class Sequential:
     def astype(self, dtype: str | np.dtype) -> "Sequential":
         """Switch the compute dtype in place.
 
-        Parameters are cast, reusable buffers dropped, and optimiser slot
+        Parameters are cast, reusable buffers dropped, and optimiser
         state reset (stale moments in the old precision would otherwise
         leak into the new one).
         """
@@ -87,12 +87,10 @@ class Sequential:
             self.optimizer.reset()
         return self
 
-    def compile(self, loss: Loss | str, optimizer: Optimizer | str = "adam") -> "Sequential":
+    def compile(self, loss: Loss, optimizer: Adam) -> "Sequential":
         """Attach loss and optimiser."""
-        self.loss = get_loss(loss) if isinstance(loss, str) else loss
-        self.optimizer = (
-            get_optimizer(optimizer) if isinstance(optimizer, str) else optimizer
-        )
+        self.loss = loss
+        self.optimizer = optimizer
         return self
 
     # ------------------------------------------------------------------ #

@@ -1,149 +1,23 @@
-"""First-order optimisers.
+"""The Adam optimiser (Kingma & Ba), the one both of the paper's models use.
 
-Both of the paper's models train with Adam (Kingma & Ba).  Optimisers hold
-slot buffers keyed by the parameter's *position* in the ``step`` list (an
-earlier version keyed by ``id(p)``, but a freed array's id can be reused
-by a new allocation, silently inheriting stale moments) and update
-parameter arrays in place, so layers keep their references across steps.
-A slot is re-initialised automatically when the array at its position
-changes shape or dtype; :meth:`Optimizer.reset` drops all state for a
-clean restart on a recompiled net.
-
-Updates are fused in-place (``np.multiply/add/divide(..., out=...)``
-into per-slot scratch buffers) and gradient clipping scales the gradient
-arrays themselves, so a steady-state training step allocates nothing.
-Adam (and AdamW) additionally run the fused update over one flat arena
-spanning every parameter, with the position-keyed slots exposed as views
-into it — ufunc dispatch on each small bias vector otherwise costs more
-than the arithmetic itself.
+Parameters are updated in place, so layers keep their references across
+steps.  The fused update runs over one flat arena spanning every
+parameter — ufunc dispatch on each small bias vector would otherwise cost
+more than the arithmetic itself — so a steady-state training step
+allocates nothing.  The arena is rebuilt when the shapes or dtype of the
+parameter list change; :meth:`Adam.reset` drops all state for a clean
+restart on a recompiled net.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "RMSProp", "get_optimizer"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimiser over (param, grad) array pairs.
-
-    ``clip_norm`` applies global gradient-norm clipping before the update —
-    the standard complement to the paper's smooth-L1 choice against "the
-    effects of the exploding gradient problem".  Clipping mutates the
-    gradient arrays in place (they are transient per-batch state owned by
-    the layers).
-    """
-
-    name = "base"
-
-    def __init__(self, lr: float = 1e-3, clip_norm: float | None = None) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if clip_norm is not None and clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-        self.lr = lr
-        self.clip_norm = clip_norm
-        self._slots: dict[int, dict[str, np.ndarray]] = {}
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Apply one update; parameters (and clipped grads) change in place."""
-        if len(params) != len(grads):
-            raise ValueError("params and grads must be parallel lists")
-        for p, g in zip(params, grads):
-            if p.shape != g.shape:
-                raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
-        if self.clip_norm is not None:
-            total = 0.0
-            for g in grads:
-                gf = g.reshape(-1)
-                total += float(np.dot(gf, gf))
-            total = math.sqrt(total)
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                for g in grads:
-                    g *= scale
-        self._apply(params, grads)
-
-    def _apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self._update(p, g, self._slot(i, p))
-
-    def reset(self) -> None:
-        """Forget all slot state (moments, step counts, scratch buffers)."""
-        self._slots.clear()
-
-    def _slot(self, index: int, p: np.ndarray) -> dict[str, np.ndarray]:
-        slot = self._slots.get(index)
-        if slot is not None:
-            # Underscore keys are scratch/step-count state; the rest mirror
-            # the parameter and gate re-initialisation on shape/dtype change.
-            for key, arr in slot.items():
-                if key.startswith("_"):
-                    continue
-                if arr.shape != p.shape or arr.dtype != p.dtype:
-                    slot = None
-                    break
-        if slot is None:
-            slot = self._slots[index] = self._init_slot(p)
-        return slot
-
-    def _init_slot(self, p: np.ndarray) -> dict[str, np.ndarray]:
-        return {"_tmp": np.empty_like(p)}
-
-    def _update(self, p: np.ndarray, g: np.ndarray, slot: dict[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum."""
-
-    name = "sgd"
-
-    def __init__(
-        self,
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        clip_norm: float | None = None,
-    ):
-        super().__init__(lr, clip_norm)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov requires momentum > 0")
-        self.momentum = momentum
-        self.nesterov = nesterov
-
-    def _init_slot(self, p: np.ndarray) -> dict[str, np.ndarray]:
-        slot = {"_tmp": np.empty_like(p)}
-        if self.momentum:
-            slot["v"] = np.zeros_like(p)
-        return slot
-
-    def _update(self, p, g, slot) -> None:
-        tmp = slot["_tmp"]
-        np.multiply(g, self.lr, out=tmp)
-        if self.momentum:
-            v = slot["v"]
-            v *= self.momentum
-            v -= tmp
-            if self.nesterov:
-                p -= tmp
-                np.multiply(v, self.momentum, out=tmp)
-                p += tmp
-            else:
-                p += v
-        else:
-            p -= tmp
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba 2015)."""
-
-    name = "adam"
 
     def __init__(
         self,
@@ -151,48 +25,39 @@ class Adam(Optimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        clip_norm: float | None = None,
     ) -> None:
-        super().__init__(lr, clip_norm)
+        if lr <= 0:
+            raise ValueError(f"lr must be positive, got {lr}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._arena: dict | None = None
 
     def reset(self) -> None:
-        super().reset()
+        """Forget all state (moments, step count, scratch buffers)."""
         self._arena = None
 
-    def _init_slot(self, p: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            "m": np.zeros_like(p),
-            "v": np.zeros_like(p),
-            "_t": np.zeros((), dtype=np.float64),
-            "_tmp": np.empty_like(p),
-            "_tmp2": np.empty_like(p),
-        }
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Apply one update; parameters change in place.
 
-    def _apply(self, params, grads) -> None:
-        """Fused flat-arena update over every parameter at once.
-
-        One set of elementwise passes over a single concatenated buffer
-        replaces ~14 tiny ufunc calls per parameter per step — for a
-        typical stack of small bias vectors the per-call dispatch was
-        costing more than the arithmetic.  Elementwise ops on the
-        concatenation are value-identical to the per-parameter form.
-        The moment halves of the arena are exposed through ``_slots`` as
-        position-keyed views, preserving slot introspection, automatic
-        re-initialisation on shape/dtype change, and ``reset()``.
+        Every parameter must share one dtype and every array must be
+        C-contiguous, as :class:`~repro.nn.network.Sequential` guarantees.
+        Elementwise ops on the concatenation are value-identical to a
+        per-parameter update.
         """
-        if len({p.dtype for p in params}) != 1 or not all(
+        if len(params) != len(grads):
+            raise ValueError("params and grads must be parallel lists")
+        for p, g in zip(params, grads):
+            if p.shape != g.shape:
+                raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
+        if len({p.dtype for p in params}) > 1:
+            raise ValueError("all parameters must share one dtype")
+        if not all(
             p.flags.c_contiguous and g.flags.c_contiguous
             for p, g in zip(params, grads)
         ):
-            if self._arena is not None:  # view slots lack per-param scratch
-                self._arena = None
-                self._slots.clear()
-            super()._apply(params, grads)
-            return
+            raise ValueError("parameters and gradients must be C-contiguous")
         sig = tuple((p.shape, p.dtype) for p in params)
         if self._arena is None or self._arena["sig"] != sig:
             self._build_arena(params, sig)
@@ -225,107 +90,13 @@ class Adam(Optimizer):
         for p in params:
             spans.append((off, off + p.size))
             off += p.size
-        m = np.zeros(off, dtype=dtype)
-        v = np.zeros(off, dtype=dtype)
         self._arena = {
             "sig": sig,
             "spans": spans,
-            "m": m,
-            "v": v,
+            "m": np.zeros(off, dtype=dtype),
+            "v": np.zeros(off, dtype=dtype),
             "g": np.empty(off, dtype=dtype),
             "tmp": np.empty(off, dtype=dtype),
             "tmp2": np.empty(off, dtype=dtype),
             "t": 0.0,
         }
-        self._slots = {
-            i: {"m": m[lo:hi].reshape(p.shape), "v": v[lo:hi].reshape(p.shape)}
-            for i, ((lo, hi), p) in enumerate(zip(spans, params))
-        }
-
-    def _update(self, p, g, slot) -> None:
-        m, v, t = slot["m"], slot["v"], slot["_t"]
-        tmp, tmp2 = slot["_tmp"], slot["_tmp2"]
-        t += 1.0
-        t_val = float(t)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m += tmp
-        v *= self.beta2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
-        v += tmp
-        np.divide(m, 1.0 - self.beta1**t_val, out=tmp)   # m̂
-        np.divide(v, 1.0 - self.beta2**t_val, out=tmp2)  # v̂
-        np.sqrt(tmp2, out=tmp2)
-        tmp2 += self.eps
-        tmp /= tmp2
-        tmp *= self.lr
-        p -= tmp
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay."""
-
-    name = "adamw"
-
-    def __init__(self, lr: float = 1e-3, weight_decay: float = 1e-2, **kwargs) -> None:
-        super().__init__(lr, **kwargs)
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.weight_decay = weight_decay
-
-    def _apply(self, params, grads) -> None:
-        # Decoupled decay before the Adam step: p ← p·(1 − lr·λ), one
-        # in-place pass per parameter.
-        decay = 1.0 - self.lr * self.weight_decay
-        for p in params:
-            p *= decay
-        super()._apply(params, grads)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponential moving second moment."""
-
-    name = "rmsprop"
-
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-        clip_norm: float | None = None,
-    ) -> None:
-        super().__init__(lr, clip_norm)
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
-        self.rho, self.eps = rho, eps
-
-    def _init_slot(self, p: np.ndarray) -> dict[str, np.ndarray]:
-        return {"s": np.zeros_like(p), "_tmp": np.empty_like(p)}
-
-    def _update(self, p, g, slot) -> None:
-        s, tmp = slot["s"], slot["_tmp"]
-        s *= self.rho
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.rho
-        s += tmp
-        np.sqrt(s, out=tmp)
-        tmp += self.eps
-        np.divide(g, tmp, out=tmp)
-        tmp *= self.lr
-        p -= tmp
-
-
-_REGISTRY: dict[str, type[Optimizer]] = {
-    cls.name: cls for cls in (SGD, Adam, AdamW, RMSProp)
-}
-
-
-def get_optimizer(name: str, **kwargs) -> Optimizer:
-    """Instantiate an optimiser by registry name."""
-    try:
-        return _REGISTRY[name](**kwargs)
-    except KeyError:
-        raise KeyError(
-            f"unknown optimizer {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None

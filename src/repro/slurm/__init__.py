@@ -20,7 +20,6 @@ from repro.slurm.priority import MultifactorPriority, PriorityWeights
 from repro.slurm.resources import Cluster, NodePool, Partition
 from repro.slurm.queue import EventQueue, JobPool
 from repro.slurm.simulator import PreemptionPolicy, SimulationResult, Simulator
-from repro.slurm.utilization import pool_utilization, utilization_summary
 
 __all__ = [
     "anvil_cluster",
@@ -35,6 +34,4 @@ __all__ = [
     "PreemptionPolicy",
     "EventQueue",
     "JobPool",
-    "pool_utilization",
-    "utilization_summary",
 ]

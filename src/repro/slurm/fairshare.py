@@ -96,19 +96,3 @@ class FairShareTracker:
         u_norm = self._usage[user_ids] / total
         s_norm = self._norm_shares[user_ids]
         return np.power(2.0, -(u_norm / s_norm))
-
-    def factors_all(self, t: float) -> np.ndarray:
-        """Fair-share factors for *every* user at time ``t``.
-
-        Gathering per job from this vector is bitwise-identical to
-        :meth:`factors` on the same user ids (division and ``2**x`` are
-        elementwise, so they commute with the gather) — the fast
-        simulation engine computes the vector once per ``(t, version)``
-        instead of re-evaluating ``2**x`` per pending job per pass.
-        """
-        self._decay_to(t)
-        total = self._usage.sum()
-        if total <= 0:
-            return np.ones(self.n_users, dtype=np.float64)
-        u_norm = self._usage / total
-        return np.power(2.0, -(u_norm / self._norm_shares))

@@ -119,10 +119,6 @@ class Cluster:
                 raise KeyError(f"unknown pool {key!r}") from None
         return int(key)
 
-    def pool_of_partition(self, key: int | str) -> int:
-        """Pool index backing a partition."""
-        return self._pool_index[self.partition(key).pool]
-
     def partition_pool_ids(self) -> np.ndarray:
         """Pool index per partition, vectorised."""
         return np.array(

@@ -1,7 +1,6 @@
-"""Shared utilities: seeding, timing, logging, validation."""
+"""Shared utilities: seeding, logging, text tables, validation."""
 
-from repro.utils.rng import SeedSequenceFactory, default_rng, spawn_rngs
-from repro.utils.timing import Timer
+from repro.utils.rng import default_rng
 from repro.utils.validation import (
     check_1d,
     check_2d,
@@ -11,10 +10,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "SeedSequenceFactory",
     "default_rng",
-    "spawn_rngs",
-    "Timer",
     "check_1d",
     "check_2d",
     "check_consistent_length",

@@ -4,23 +4,15 @@ Every stochastic component in the library (workload generation, SMOTE,
 network initialisation, forest bootstraps, HPO samplers) accepts either an
 integer seed or a :class:`numpy.random.Generator`.  This module centralises
 the conversion and provides reproducible *spawning* of independent streams
-for parallel workers, following the ``SeedSequence`` discipline recommended
-for HPC workloads (independent streams per worker, no sharing of a single
-generator across processes).
+(one per forest tree), following the ``SeedSequence`` discipline.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = [
-    "default_rng",
-    "spawn_rngs",
-    "spawn_seed_sequences",
-    "SeedSequenceFactory",
-]
+__all__ = ["default_rng", "spawn_seed_sequences"]
+
 
 def default_rng(
     seed: int | np.random.Generator | np.random.SeedSequence | None = None,
@@ -31,8 +23,7 @@ def default_rng(
     ----------
     seed:
         ``None`` for OS entropy, an ``int`` for a reproducible stream, a
-        ``SeedSequence`` (e.g. a spawned child carried to a worker
-        process), or an existing ``Generator`` which is passed through
+        ``SeedSequence`` (e.g. a spawned child), or an existing ``Generator`` which is passed through
         unchanged (so callers can thread one stream through a pipeline).
     """
     if isinstance(seed, np.random.Generator):
@@ -40,72 +31,14 @@ def default_rng(
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent generators from one seed.
-
-    Used when fanning work out to parallel workers (e.g. one tree per
-    process in the random forest): each worker gets its own stream, and the
-    result is identical whether the work runs serially or in parallel.
-    """
-    return [np.random.default_rng(c) for c in spawn_seed_sequences(seed, n)]
-
-
 def spawn_seed_sequences(
     seed: int | None, n: int
 ) -> list[np.random.SeedSequence]:
     """Spawn ``n`` independent child ``SeedSequence`` states from one seed.
 
-    The picklable flavour of :func:`spawn_rngs`: ship a child to a worker
-    process and materialise the generator there with
-    ``default_rng(child)`` — cheaper to pickle than a ``Generator`` and
-    identical serial or parallel.
+    Each random-forest tree materialises its generator from one child with
+    ``default_rng(child)``, so every tree draws from its own stream.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return list(np.random.SeedSequence(seed).spawn(n))
-
-
-class SeedSequenceFactory:
-    """Hands out reproducible child seeds on demand.
-
-    A convenience wrapper around :class:`numpy.random.SeedSequence` for
-    long-lived objects (e.g. an HPO study) that need a fresh independent
-    stream per trial without carrying ``Generator`` state across processes.
-    """
-
-    def __init__(self, seed: int | None = None) -> None:
-        self._seq = np.random.SeedSequence(seed)
-        self._spawned = 0
-
-    @property
-    def n_spawned(self) -> int:
-        """Number of child streams handed out so far."""
-        return self._spawned
-
-    def next_rng(self) -> np.random.Generator:
-        """Return the next independent generator."""
-        (child,) = self._seq.spawn(1)
-        self._spawned += 1
-        return np.random.default_rng(child)
-
-    def next_seed(self) -> int:
-        """Return the next independent integer seed (for pickling to workers)."""
-        (child,) = self._seq.spawn(1)
-        self._spawned += 1
-        return int(child.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
-
-    def spawn(self, n: int) -> list[np.random.Generator]:
-        """Return ``n`` independent generators."""
-        children = self._seq.spawn(n)
-        self._spawned += n
-        return [np.random.default_rng(c) for c in children]
-
-
-def permutation_chunks(
-    rng: np.random.Generator, n: int, n_chunks: int
-) -> Iterable[np.ndarray]:
-    """Yield ``n_chunks`` disjoint random index chunks covering ``range(n)``."""
-    perm = rng.permutation(n)
-    bounds = np.linspace(0, n, n_chunks + 1).astype(np.intp)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield perm[lo:hi]

@@ -67,24 +67,47 @@ def test_user_history_mode_shapes_and_gain(trace_jobs):
 
 
 def test_user_expanding_stats_causal(trace_jobs):
-    """History features must use strictly earlier jobs only."""
+    """History features average exactly the same user's jobs that ended
+    strictly before the submit time (checked by brute force)."""
     from repro.core.runtime_model import user_expanding_stats
 
     sub = trace_jobs[:500]
     stats = user_expanding_stats(sub)
     rec = sub.records
     util = sub.walltime_utilization
-    # For each user's first job (by submit), the feature is the prior.
+    rt = sub.runtime_min
     for user in np.unique(rec["user_id"])[:5]:
         g = np.flatnonzero(rec["user_id"] == user)
-        first = g[np.argmin(rec["submit_time"][g])]
-        assert stats["user_mean_utilization"][first] == 0.15
-        # Second job sees exactly the first job's utilisation.
-        if len(g) >= 2:
-            order = g[np.argsort(rec["submit_time"][g], kind="stable")]
-            np.testing.assert_allclose(
-                stats["user_mean_utilization"][order[1]], util[order[0]]
-            )
+        for j in g:
+            seen = g[rec["end_time"][g] < rec["submit_time"][j]]
+            want_u = util[seen].mean() if len(seen) else 0.15
+            want_r = rt[seen].mean() if len(seen) else 30.0
+            np.testing.assert_allclose(stats["user_mean_utilization"][j], want_u)
+            np.testing.assert_allclose(stats["user_mean_runtime_min"][j], want_r)
+
+
+def test_user_expanding_stats_ignores_unfinished_jobs():
+    """A job still queued or running at the submit time contributes
+    nothing: only ended jobs are history a deployed model could see."""
+    from repro.core.runtime_model import user_expanding_stats
+    from repro.data.schema import JobSet
+
+    # One user: job 0 runs [0, 6000) s, job 1 is submitted at 600 s while
+    # job 0 still runs, job 2 at 9000 s after both have ended.
+    jobs = JobSet.from_columns(
+        {
+            "user_id": np.array([7, 7, 7]),
+            "submit_time": np.array([0.0, 600.0, 9000.0]),
+            "eligible_time": np.array([0.0, 600.0, 9000.0]),
+            "start_time": np.array([0.0, 600.0, 9000.0]),
+            "end_time": np.array([6000.0, 1800.0, 9600.0]),
+            "timelimit_min": np.array([200.0, 40.0, 20.0]),
+        }
+    )
+    stats = user_expanding_stats(jobs)
+    # Runtimes 100, 20 and 10 minutes; utilisations 0.5, 0.5 and 0.5.
+    np.testing.assert_allclose(stats["user_mean_runtime_min"], [30.0, 30.0, 60.0])
+    np.testing.assert_allclose(stats["user_mean_utilization"], [0.15, 0.15, 0.5])
 
 
 def test_feature_mode_validation():

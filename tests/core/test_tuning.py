@@ -29,7 +29,7 @@ def test_tune_returns_fitted_model():
     pred = model.predict_minutes(X[-100:])
     assert pred.shape == (100,)
     assert np.all(pred >= 0)
-    assert len(study.completed_trials) == 4
+    assert len(study.trials) == 4
     assert set(study.best_params) == {"h1", "depth", "lr", "dropout"}
 
 
@@ -66,6 +66,6 @@ def test_search_respects_bounds():
         seed=0,
     )
     _, study = tune_regressor(X, m, tuning)
-    for t in study.completed_trials:
+    for t in study.trials:
         assert 16 <= t.params["h1"] <= 32
         assert t.params["depth"] == 2

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.hpo.samplers import RandomSampler, TPESampler
+from repro.hpo.samplers import TPESampler
 from repro.hpo.space import Float
 
 
 def test_random_sampler_uniform_coverage():
-    s = RandomSampler(seed=0)
+    """Before ``n_startup`` completed trials TPE samples uniformly."""
+    s = TPESampler(seed=0)
     us = [s.sample_unit(Float(0, 1), np.array([]), np.array([])) for _ in range(2000)]
     us = np.array(us)
     assert 0.0 <= us.min() and us.max() < 1.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hpo import MedianPruner, RandomSampler, Study, TPESampler, TrialPruned
+from repro.hpo import Study, TPESampler
 
 
 def _quadratic(trial):
@@ -12,21 +12,26 @@ def _quadratic(trial):
     return (x - 1.0) ** 2 + (y + 2.0) ** 2
 
 
+def _random(seed, n_trials):
+    """A sampler that stays in its uniform startup phase for the whole run."""
+    return TPESampler(seed=seed, n_startup=n_trials)
+
+
 def test_random_search_finds_decent_point():
-    study = Study(sampler=RandomSampler(seed=0))
+    study = Study(sampler=_random(0, 120))
     study.optimize(_quadratic, n_trials=120)
     assert study.best_value < 1.0
     assert abs(study.best_params["x"] - 1.0) < 1.5
 
 
 def test_tpe_beats_random_on_average():
-    def run(sampler_cls, seed):
-        s = Study(sampler=sampler_cls(seed=seed))
+    def run(sampler):
+        s = Study(sampler=sampler)
         s.optimize(_quadratic, n_trials=60)
         return s.best_value
 
-    rand = np.mean([run(RandomSampler, s) for s in range(5)])
-    tpe = np.mean([run(TPESampler, s) for s in range(5)])
+    rand = np.mean([run(_random(s, 60)) for s in range(5)])
+    tpe = np.mean([run(TPESampler(seed=s)) for s in range(5)])
     assert tpe <= rand * 1.1  # TPE at least competitive, usually better
 
 
@@ -36,7 +41,7 @@ def test_suggest_int_and_categorical():
         act = trial.suggest_categorical("act", ["relu", "elu"])
         return float(n) + (0.0 if act == "elu" else 0.5)
 
-    study = Study(sampler=RandomSampler(seed=0))
+    study = Study(sampler=_random(0, 80))
     study.optimize(objective, n_trials=80)
     assert study.best_params["n"] == 1
     assert study.best_params["act"] == "elu"
@@ -51,54 +56,15 @@ def test_repeated_suggest_same_trial_returns_same_value():
         seen["pair"] = (a, b)
         return a
 
-    Study(sampler=RandomSampler(seed=0)).optimize(objective, n_trials=1)
+    Study(sampler=TPESampler(seed=0)).optimize(objective, n_trials=1)
     assert seen["pair"][0] == seen["pair"][1]
-
-
-def test_pruned_trials_recorded_but_unscored():
-    def objective(trial):
-        x = trial.suggest_float("x", 0.0, 1.0)
-        trial.report(0, x)
-        if trial.number >= 3:
-            raise TrialPruned
-        return x
-
-    study = Study(sampler=RandomSampler(seed=0))
-    study.optimize(objective, n_trials=6)
-    assert len(study.trials) == 6
-    assert len(study.completed_trials) == 3
-    assert all(t.pruned for t in study.trials[3:])
-
-
-def test_median_pruner_logic():
-    pruner = MedianPruner(n_startup_trials=2, n_warmup_steps=1)
-    history = [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0}]
-    # Below startup threshold: never prune.
-    assert not MedianPruner(n_startup_trials=5).should_prune(1, 99.0, history)
-    # Warmup step: never prune.
-    assert not pruner.should_prune(0, 99.0, history)
-    # Worse than median at step 1 -> prune.
-    assert pruner.should_prune(1, 3.0, history)
-    assert not pruner.should_prune(1, 1.2, history)
-    # Unseen step: no baseline, no pruning.
-    assert not pruner.should_prune(9, 99.0, history)
-
-
-def test_should_prune_requires_report():
-    def objective(trial):
-        trial.suggest_float("x", 0.0, 1.0)
-        with pytest.raises(KeyError):
-            trial.should_prune(0)
-        return 0.0
-
-    Study().optimize(objective, n_trials=1)
 
 
 def test_empty_study_best_raises():
     with pytest.raises(RuntimeError):
-        Study().best_trial
+        Study(TPESampler(seed=0)).best_trial
     with pytest.raises(ValueError):
-        Study().optimize(lambda t: 0.0, n_trials=0)
+        Study(TPESampler(seed=0)).optimize(lambda t: 0.0, n_trials=0)
 
 
 def test_tpe_sampler_validation():

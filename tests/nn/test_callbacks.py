@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn import Activation, Adam, Dense, Sequential
-from repro.nn.callbacks import EarlyStopping, History, LRSchedule
+from repro.nn import Activation, Adam, Dense, Sequential, SmoothL1Loss
+from repro.nn.callbacks import EarlyStopping, History
 
 
 def _net():
-    return Sequential([Dense(2, 4, seed=0), Activation("tanh"), Dense(4, 1, seed=1)]).compile(
-        "mse", Adam(lr=0.1)
-    )
+    return Sequential(
+        [Dense(2, 4, seed=0), Activation("tanh"), Dense(4, 1, seed=1)]
+    ).compile(SmoothL1Loss(), Adam(lr=0.1))
 
 
 def test_history_series():
@@ -50,26 +50,9 @@ def test_early_stopping_missing_key_raises():
         es.on_epoch_end(net, 0, {"loss": 1.0})
 
 
-def test_lr_schedule_decays():
-    net = _net()
-    sched = LRSchedule(factor=0.5, step=2, min_lr=0.02)
-    lr0 = net.optimizer.lr
-    sched.on_epoch_end(net, 0, {})
-    assert net.optimizer.lr == lr0
-    sched.on_epoch_end(net, 1, {})
-    assert net.optimizer.lr == lr0 * 0.5
-    for e in range(2, 20, 1):
-        sched.on_epoch_end(net, e, {})
-    assert net.optimizer.lr == 0.02  # floored
-
-
 def test_validation():
     with pytest.raises(ValueError):
         EarlyStopping(patience=0)
-    with pytest.raises(ValueError):
-        LRSchedule(factor=0.0)
-    with pytest.raises(ValueError):
-        LRSchedule(step=0)
 
 
 def test_metrics_callback_publishes_epoch_signals():

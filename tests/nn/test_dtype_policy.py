@@ -20,6 +20,7 @@ from repro.nn import (
     Dense,
     Dropout,
     Sequential,
+    SmoothL1Loss,
     Workspace,
     resolve_nn_dtype,
 )
@@ -68,14 +69,14 @@ def test_no_nn_dtype_config_or_flag():
 
 def test_astype_switch_resets_state():
     net = Sequential([Dense(4, 8, seed=0), Activation("elu"), Dense(8, 1, seed=1)])
-    net = net.astype("float64").compile("mse", Adam(lr=1e-2))
+    net = net.astype("float64").compile(SmoothL1Loss(), Adam(lr=1e-2))
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(64, 4)), rng.normal(size=64)
     net.fit(X, y, epochs=2, batch_size=16, seed=0)
-    assert net.optimizer._slots  # warm
+    assert net.optimizer._arena is not None  # warm
     net.astype("float32")
     assert all(p.dtype == np.float32 for p in net.parameters())
-    assert not net.optimizer._slots  # moments dropped with the old precision
+    assert net.optimizer._arena is None  # moments dropped with the old precision
     net.fit(X, y, epochs=2, batch_size=16, seed=0)  # still trainable
     assert net.predict(X).dtype == np.float32
 
@@ -106,8 +107,8 @@ def test_forward_parity_float32_vs_float64(hidden, activation, seed):
     """Same seed -> float32 forward pass tracks the float64 reference."""
     net32, net64 = _twin_nets((5, hidden, 1), activation, seed)
     X = np.random.default_rng(seed).normal(size=(32, 5))
-    p32 = net32.compile("mse").predict(X)
-    p64 = net64.compile("mse").predict(X)
+    p32 = net32.compile(SmoothL1Loss(), Adam()).predict(X)
+    p64 = net64.compile(SmoothL1Loss(), Adam()).predict(X)
     assert p32.dtype == np.float32 and p64.dtype == np.float64
     np.testing.assert_allclose(p32, p64, rtol=1e-3, atol=1e-4)
 
@@ -132,7 +133,7 @@ def test_training_parity_holdout_mape():
                 Dense(16, 1, seed=3),
             ],
             dtype=dtype,
-        ).compile("smooth_l1", Adam(lr=1e-2))
+        ).compile(SmoothL1Loss(), Adam(lr=1e-2))
         net.fit(X[tr], y[tr], epochs=40, batch_size=128, seed=0)
         pred = np.expm1(np.asarray(net.predict(X[te]), dtype=np.float64))
         truth = np.expm1(y[te])
@@ -158,7 +159,7 @@ def test_steady_state_epochs_do_not_grow_buffers():
             Dropout(0.1, seed=1),
             Dense(32, 1, seed=2),
         ]
-    ).compile("smooth_l1", Adam(lr=1e-3, clip_norm=5.0))
+    ).compile(SmoothL1Loss(), Adam(lr=1e-3))
     with tracing.span("alloc_probe") as root:
         net.fit(X, y, epochs=6, batch_size=256, seed=0)
     epochs = [c for c in root.children if c.name == "epoch"]
@@ -189,7 +190,7 @@ def test_alloc_gauge_published(monkeypatch):
     reg = metrics.get_registry()
     rng = np.random.default_rng(0)
     net = Sequential([Dense(4, 8, seed=0), Dense(8, 1, seed=1)]).compile(
-        "mse", Adam()
+        SmoothL1Loss(), Adam()
     )
     net.fit(rng.normal(size=(128, 4)), rng.normal(size=128), epochs=2, seed=0)
     gauge = reg.gauge(

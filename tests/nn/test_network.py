@@ -7,15 +7,19 @@ from repro.nn import (
     Activation,
     Adam,
     BatchNorm1d,
+    BCEWithLogitsLoss,
     Dense,
     Dropout,
     EarlyStopping,
     Sequential,
+    SmoothL1Loss,
 )
-from repro.nn.gradcheck import max_gradient_error
+from tests.nn.gradcheck import max_gradient_error
+
+LOSSES = {"smooth_l1": SmoothL1Loss, "bce_logits": BCEWithLogitsLoss}
 
 
-def _make_net(loss="mse", hidden=8, in_dim=4, bn=False, dropout=0.0):
+def _make_net(loss="smooth_l1", hidden=8, in_dim=4, bn=False, dropout=0.0):
     layers = [Dense(in_dim, hidden, seed=1)]
     if bn:
         layers.append(BatchNorm1d(hidden))
@@ -23,10 +27,10 @@ def _make_net(loss="mse", hidden=8, in_dim=4, bn=False, dropout=0.0):
     if dropout:
         layers.append(Dropout(dropout, seed=2))
     layers.append(Dense(hidden, 1, seed=3))
-    return Sequential(layers).compile(loss, Adam(lr=1e-2))
+    return Sequential(layers).compile(LOSSES[loss](), Adam(lr=1e-2))
 
 
-@pytest.mark.parametrize("loss", ["mse", "mae", "smooth_l1"])
+@pytest.mark.parametrize("loss", ["smooth_l1"])
 @pytest.mark.parametrize("bn", [False, True])
 def test_whole_network_gradients_exact(loss, bn):
     rng = np.random.default_rng(0)

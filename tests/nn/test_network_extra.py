@@ -9,6 +9,7 @@ from repro.nn import (
     Dense,
     LeakyReLU,
     Sequential,
+    SmoothL1Loss,
     load_network,
     save_network,
 )
@@ -17,7 +18,7 @@ from repro.nn import (
 def _net():
     return Sequential(
         [Dense(3, 8, seed=0), Activation(LeakyReLU(0.07)), Dense(8, 1, seed=1)]
-    ).compile("mse", Adam(lr=1e-2))
+    ).compile(SmoothL1Loss(), Adam(lr=1e-2))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -51,7 +52,7 @@ def test_add_chaining_and_repr():
 
 
 def test_forward_multi_output_predict_shape():
-    net = Sequential([Dense(3, 5, seed=0)]).compile("mse")
+    net = Sequential([Dense(3, 5, seed=0)]).compile(SmoothL1Loss(), Adam())
     out = net.predict(np.zeros((7, 3)))
     assert out.shape == (7, 5)  # multi-column outputs stay 2-D
 

@@ -10,6 +10,7 @@ from repro.nn import (
     Dense,
     Dropout,
     Sequential,
+    SmoothL1Loss,
     load_network,
     save_network,
 )
@@ -25,7 +26,7 @@ def _trained_net(seed=0):
             Dropout(0.1, seed=2),
             Dense(16, 1, seed=3),
         ]
-    ).compile("mse", Adam(lr=1e-2))
+    ).compile(SmoothL1Loss(), Adam(lr=1e-2))
     X = rng.normal(size=(200, 5))
     y = X.sum(axis=1)
     net.fit(X, y, epochs=5, seed=0)
@@ -68,7 +69,7 @@ def test_loaded_net_can_continue_training(tmp_path):
     net, X = _trained_net()
     path = tmp_path / "net.npz"
     save_network(net, path)
-    loaded = load_network(path).compile("mse", Adam(lr=1e-3))
+    loaded = load_network(path).compile(SmoothL1Loss(), Adam(lr=1e-3))
     y = X.sum(axis=1)
     loaded.fit(X, y, epochs=1, seed=0)  # must not raise
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import SeedSequenceFactory, default_rng, spawn_rngs
+from repro.utils.rng import default_rng, spawn_seed_sequences
 
 
 def test_default_rng_reproducible():
@@ -17,44 +17,15 @@ def test_default_rng_passthrough():
     assert default_rng(g) is g
 
 
-def test_spawn_rngs_independent_and_reproducible():
-    streams1 = spawn_rngs(7, 3)
-    streams2 = spawn_rngs(7, 3)
+def test_spawn_seed_sequences_independent_and_reproducible():
+    streams1 = [default_rng(c) for c in spawn_seed_sequences(7, 3)]
+    streams2 = [default_rng(c) for c in spawn_seed_sequences(7, 3)]
     for s1, s2 in zip(streams1, streams2):
         np.testing.assert_array_equal(s1.random(4), s2.random(4))
     # Distinct children produce distinct streams.
     assert not np.allclose(streams1[0].random(8), streams1[1].random(8))
 
 
-def test_spawn_rngs_negative_raises():
+def test_spawn_seed_sequences_negative_raises():
     with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
-
-
-def test_seed_factory_counts_and_differs():
-    f = SeedSequenceFactory(3)
-    r1 = f.next_rng()
-    r2 = f.next_rng()
-    s = f.next_seed()
-    assert f.n_spawned == 3
-    assert isinstance(s, int) and s >= 0
-    assert not np.allclose(r1.random(8), r2.random(8))
-
-
-def test_seed_factory_spawn_batch():
-    f = SeedSequenceFactory(3)
-    batch = f.spawn(4)
-    assert len(batch) == 4 and f.n_spawned == 4
-
-
-def test_permutation_chunks_partition_range():
-    from repro.utils.rng import permutation_chunks
-
-    rng = np.random.default_rng(0)
-    chunks = list(permutation_chunks(rng, 100, 7))
-    assert len(chunks) == 7
-    joined = np.sort(np.concatenate(chunks))
-    np.testing.assert_array_equal(joined, np.arange(100))
-    # Chunks are near-equal in size.
-    sizes = [len(c) for c in chunks]
-    assert max(sizes) - min(sizes) <= 1
+        spawn_seed_sequences(0, -1)
