@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows coalesced into one model call",
     )
     se.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="how long a batch waits for more requests once one arrived",
+        "--max-wait-ms", type=float, default=0.0,
+        help="coalescing window: how long a batch waits for more requests "
+        "once one arrived (default 0: dispatch what is already queued)",
     )
     se.add_argument(
         "--queue-depth", type=int, default=128,

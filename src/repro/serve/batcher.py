@@ -6,7 +6,11 @@ path amortises its fixed per-call work across rows).  The batcher owns a
 bounded queue of pending requests and one worker thread that drains it:
 the first request opens a batch, further arrivals join until either
 ``max_batch`` rows are collected or ``max_wait`` elapses, then the whole
-block goes through ``predict_fn`` in one call.
+block goes through ``predict_fn`` in one call.  With ``max_wait`` 0 (the
+default) a batch is whatever is already queued when the worker pops the
+first request: a lone request is dispatched at once, and batches still
+fill under load because requests pile up while the worker computes.  A
+positive ``max_wait`` opts into a coalescing window for larger batches.
 
 Concurrency contract, relied on by the serve test suite:
 
@@ -105,6 +109,10 @@ class MicroBatcher:
         return one result per row.  Swappable at runtime (hot reload
         assigns a new closure); the assignment is atomic, and a batch in
         flight finishes on whichever function it started with.
+    max_wait_s:
+        Coalescing window after the first request of a batch is popped.
+        0 dispatches what is already queued (up to ``max_batch``)
+        without waiting.
     """
 
     def __init__(
@@ -112,7 +120,7 @@ class MicroBatcher:
         predict_fn: Callable[[np.ndarray], Sequence[object]],
         n_features: int,
         max_batch: int = 32,
-        max_wait_s: float = 0.005,
+        max_wait_s: float = 0.0,
         queue_depth: int = 128,
     ) -> None:
         if n_features < 1:
@@ -205,14 +213,19 @@ class MicroBatcher:
             ticket.fail(QueueFullError("batcher shut down before serving"))
 
     # ------------------------------------------------------------------ #
-    def _collect(self) -> list[BatchTicket] | None:
-        """Block for the first ticket, then gather until full or deadline."""
+    def _collect(self) -> tuple[list[BatchTicket], float] | None:
+        """Block for the first ticket, then gather until full or deadline.
+
+        Returns the batch and the ``perf_counter`` time its first ticket
+        was popped, so the batch-wait histogram excludes idle time.
+        """
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait()
             batch = [self._queue.popleft()]
+            popped = perf_counter()
             deadline = monotonic() + self.max_wait_s
             while len(batch) < self.max_batch:
                 if self._queue:
@@ -223,16 +236,16 @@ class MicroBatcher:
                     break
                 self._cond.wait(remaining)
             self._queue_depth_gauge.set(float(len(self._queue)))
-            return batch
+            return batch, popped
 
     def _run(self) -> None:
         while True:
-            t0 = perf_counter()
-            batch = self._collect()
-            if batch is None:
+            collected = self._collect()
+            if collected is None:
                 return
+            batch, popped = collected
             opened = perf_counter()
-            self._batch_wait.observe(opened - t0)
+            self._batch_wait.observe(opened - popped)
             n = len(batch)
             rows = self._workspace[:n]
             context = None

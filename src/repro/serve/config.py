@@ -2,8 +2,9 @@
 
 Every number here is a contract the tests pin down: ``max_batch`` caps
 the rows per NN pass, ``max_wait_ms`` bounds how long the first request
-in a batch waits for company, ``queue_depth`` is the admission-control
-line beyond which requests are shed with 503 + ``Retry-After``.
+in a batch waits for company (0, the default, dispatches what is already
+queued), ``queue_depth`` is the admission-control line beyond which
+requests are shed with 503 + ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ class ServeConfig:
     port: int = 8080
     #: max rows coalesced into one model call
     max_batch: int = 32
-    #: how long the batch collector waits for more rows once one arrived
-    max_wait_ms: float = 5.0
+    #: how long the batch collector waits for more rows once one arrived;
+    #: 0 dispatches whatever is already queued without waiting (batches
+    #: still fill under load: requests queue while the worker computes)
+    max_wait_ms: float = 0.0
     #: pending-request bound; submissions beyond it are shed (503)
     queue_depth: int = 128
     #: registry poll interval for hot reload

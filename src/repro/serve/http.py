@@ -17,7 +17,9 @@ event stream is the single source, and it carries the request id).
 
 ``ThreadingHTTPServer`` gives a thread per connection; every worker
 funnels into the single batcher, which is where the real concurrency
-control lives.  ``start_server`` binds (port 0 = ephemeral, used by the
+control lives.  Accepted connections run with ``TCP_NODELAY``, so a
+keep-alive response never waits on the client's delayed ACK.
+``start_server`` binds (port 0 = ephemeral, used by the
 test suite), starts the accept loop in a daemon thread, and returns the
 server object, whose ``shutdown_service`` tears down loop, watcher, and
 batcher in order.
@@ -78,6 +80,10 @@ class TroutHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection.  A response goes out as
+    #: two writes (headers, then body); with Nagle on, the body waits for
+    #: the client's delayed ACK of the headers, about 40 ms on keep-alive.
+    disable_nagle_algorithm = True
     server: TroutHTTPServer
 
     # ------------------------------------------------------------------ #

@@ -10,12 +10,14 @@ and never one recomputed from a corrupted workspace slot.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import get_registry
 from repro.serve import MicroBatcher, QueueFullError
 
 N_FEATURES = 5
@@ -229,3 +231,59 @@ def test_submit_rejects_bad_shapes_and_closed_batcher():
     batcher.close()
     with pytest.raises(QueueFullError, match="shut down"):
         batcher.submit(np.zeros(N_FEATURES))
+
+
+# --------------------------------------------------------------------- #
+# the zero coalescing window (the serving default)
+# --------------------------------------------------------------------- #
+def test_zero_window_coalesces_rows_queued_while_worker_computes():
+    """A window of 0 still batches under load: every row that arrives
+    while the worker is inside the model rides the next batch."""
+    k = 6
+    stub = RowWiseStub()
+    release = threading.Event()
+    entered = threading.Event()
+
+    def blocking(rows):
+        entered.set()
+        assert release.wait(30.0)
+        return stub(rows)
+
+    batcher = MicroBatcher(
+        blocking, n_features=N_FEATURES, max_batch=8, max_wait_s=0.0,
+        queue_depth=16,
+    )
+    rows = _rows(k + 1, np.random.default_rng(0))
+    try:
+        first = batcher.submit(rows[0])
+        assert entered.wait(10.0)  # the worker holds a batch of one
+        rest = [batcher.submit(row) for row in rows[1:]]
+        release.set()
+        for i, ticket in enumerate([first, *rest]):
+            assert ticket.wait(10.0) == stub.row_result(rows[i])
+    finally:
+        release.set()
+        batcher.close()
+    assert stub.batch_sizes == [1, k]
+    assert [t.batch_size for t in rest] == [k] * k
+
+
+def test_batch_wait_excludes_idle_time():
+    """``serve_batch_wait_seconds`` starts when the first ticket is
+    popped, not when the worker began waiting on an empty queue."""
+    gap_s = 0.2
+    batcher = MicroBatcher(
+        lambda rows: [0.0] * len(rows),
+        n_features=N_FEATURES,
+        max_batch=4,
+        max_wait_s=0.0,
+        queue_depth=4,
+    )
+    try:
+        time.sleep(gap_s)  # the worker idles on an empty queue
+        assert batcher.submit(np.zeros(N_FEATURES)).wait(10.0) == 0.0
+    finally:
+        batcher.close()
+    hist = get_registry().histogram("serve_batch_wait_seconds")
+    assert hist.count == 1
+    assert hist.sum < gap_s / 4, hist.sum
