@@ -3,7 +3,10 @@
 The paper benchmarks against "an XGBoost regression model"; this is the
 same algorithm family implemented directly: additive trees fitted to
 first/second-order gradients of squared error, L2-regularised leaf weights
-(−G/(H+λ)), shrinkage, and row/column subsampling.
+(−G/(H+λ)), shrinkage, and row/column subsampling.  Prediction descends
+every tree at once through one stacked node table
+(:class:`~repro.ml.tree.TreeStack`) and adds ``learning_rate × leaf
+value`` to the base score in tree order.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 from repro.ml.base import Regressor
 from repro.ml.binning import BinnedMatrix
-from repro.ml.tree import Tree, _Builder
+from repro.ml.tree import Tree, TreeStack, _Builder
 from repro.obs import metrics
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_fitted
@@ -118,18 +121,14 @@ class GradientBoostingRegressor(Regressor):
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "trees_")
         X = self._validate_predict(X)
-        out = np.full(len(X), self.base_score_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        return TreeStack(self.trees_, self.learning_rate).accumulate(
+            X, self.base_score_
+        )
 
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """(n_estimators, n_samples) predictions after each round."""
         check_fitted(self, "trees_")
         X = self._validate_predict(X)
-        out = np.full(len(X), self.base_score_)
-        stages = np.empty((len(self.trees_), len(X)))
-        for i, tree in enumerate(self.trees_):
-            out = out + self.learning_rate * tree.predict(X)
-            stages[i] = out
-        return stages
+        return TreeStack(self.trees_, self.learning_rate).accumulate(
+            X, self.base_score_, staged=True
+        )

@@ -11,16 +11,19 @@ The feature matrix is quantile-binned to uint8 codes exactly once per
 shared by every tree — bootstrap resamples are row subsets of the codes,
 so the binning cost is amortised across the whole ensemble.
 
-Prediction descends one row per **threshold cell**.  Two rows that fall
-on the same side of every threshold of every tree reach the same leaf in
-every tree, so :meth:`RandomForestRegressor.predict` keys each row by its
-per-feature rank among the forest's sorted distinct thresholds, walks the
-trees for one representative row per distinct key and scatters the sums
-back.  Request-level inputs such as the runtime model's (a few dozen
-CPU/memory/timelimit values) collapse thousands of rows into hundreds of
-cells; continuous inputs leave every row its own cell and cost one
-``searchsorted`` per feature more.  The per-tree sum runs in the same
-order either way, so the output is bitwise the plain tree average.
+Prediction descends one row per **threshold cell** through every tree at
+once.  Two rows that fall on the same side of every threshold of every
+tree reach the same leaf in every tree, so
+:meth:`RandomForestRegressor.predict` keys each row by its per-feature
+rank among the forest's sorted distinct thresholds and sends one
+representative row per distinct key down the forest's stacked node table
+(:class:`~repro.ml.tree.TreeStack`): all ``n_trees × n_cells`` lanes
+move one level per step, and the leaf values are summed in tree order
+before the sums are scattered back.  Request-level inputs such as the
+runtime model's (a few dozen CPU/memory/timelimit values) collapse
+thousands of rows into hundreds of cells; continuous inputs leave every
+row its own cell and cost one ``searchsorted`` per feature more.  The
+output is bitwise the plain tree average either way.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.ml.base import Regressor
 from repro.ml.binning import BinnedMatrix
-from repro.ml.tree import DecisionTreeRegressor, Tree, _Builder
+from repro.ml.tree import DecisionTreeRegressor, Tree, TreeStack, _Builder
 from repro.obs import metrics
 from repro.utils.rng import default_rng, spawn_seed_sequences
 from repro.utils.validation import check_fitted
@@ -72,14 +75,15 @@ class RandomForestRegressor(Regressor):
         self.seed = seed
         self.trees_: list[Tree] | None = None
 
-    #: ``(trees_, per-feature sorted distinct thresholds)``, derived from
-    #: whichever ``trees_`` list is current on first use.
-    _edges: tuple[list[Tree], list[np.ndarray]] | None = None
+    #: ``(trees_, stacked node table, per-feature sorted distinct
+    #: thresholds)``, derived from whichever ``trees_`` list is current on
+    #: first use.
+    _inference: tuple[list[Tree], TreeStack, list[np.ndarray]] | None = None
 
     def __getstate__(self) -> dict:
-        # The thresholds are derived from ``trees_``; never persist them.
+        # The inference tables are derived from ``trees_``; never persist them.
         state = self.__dict__.copy()
-        state.pop("_edges", None)
+        state.pop("_inference", None)
         return state
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
@@ -120,26 +124,22 @@ class RandomForestRegressor(Regressor):
         check_fitted(self, "trees_")
         X = self._validate_predict(X)
         first, cell = self._cells(X)
-        rep = X[first]
-        out = np.zeros(len(rep), dtype=np.float64)
-        for tree in self.trees_:
-            out += tree.predict(rep)
+        out = self._tables()[0].accumulate(X[first], base=0.0)
         out /= len(self.trees_)
         return out[cell]
 
-    def _thresholds(self) -> list[np.ndarray]:
-        """Sorted distinct split thresholds of every tree, per feature."""
-        if self._edges is None or self._edges[0] is not self.trees_:
+    def _tables(self) -> tuple[TreeStack, list[np.ndarray]]:
+        """The stacked node table and the per-feature sorted distinct
+        split thresholds of the current ``trees_``."""
+        if self._inference is None or self._inference[0] is not self.trees_:
             feature = np.concatenate([t.feature for t in self.trees_])
             threshold = np.concatenate([t.threshold for t in self.trees_])
-            self._edges = (
-                self.trees_,
-                [
-                    np.unique(threshold[feature == f])
-                    for f in range(int(feature.max()) + 1)
-                ],
-            )
-        return self._edges[1]
+            edges = [
+                np.unique(threshold[feature == f])
+                for f in range(int(feature.max()) + 1)
+            ]
+            self._inference = (self.trees_, TreeStack(self.trees_), edges)
+        return self._inference[1:]
 
     def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First row of each threshold cell of ``X``, and each row's cell.
@@ -147,13 +147,13 @@ class RandomForestRegressor(Regressor):
         A value's rank ``searchsorted(thresholds, x, "left")`` counts the
         thresholds strictly below it, so equal ranks mean equal ``x <= t``
         outcomes for every threshold ``t`` (NaN ranks last and goes right,
-        as in :meth:`Tree.apply`).  The per-feature ranks fold into one
+        as in :class:`TreeStack`).  The per-feature ranks fold into one
         int64 key; the key is rank-compressed first whenever the next
         multiply could overflow.
         """
         key = np.zeros(len(X), dtype=np.int64)
         size = 1  # exclusive upper bound of ``key``
-        for f, edges in enumerate(self._thresholds()):
+        for f, edges in enumerate(self._tables()[1]):
             if not len(edges):
                 continue
             radix = len(edges) + 1
@@ -164,13 +164,6 @@ class RandomForestRegressor(Regressor):
             size *= radix
         _, first, cell = np.unique(key, return_index=True, return_inverse=True)
         return first, cell
-
-    def predict_std(self, X: np.ndarray) -> np.ndarray:
-        """Across-tree standard deviation — a cheap uncertainty signal."""
-        check_fitted(self, "trees_")
-        X = self._validate_predict(X)
-        preds = np.stack([tree.predict(X) for tree in self.trees_])
-        return preds.std(axis=0)
 
     def feature_importances(self, n_features: int) -> np.ndarray:
         """Split-count importance normalised to sum 1."""

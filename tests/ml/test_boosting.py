@@ -1,9 +1,13 @@
 """Gradient boosting behaviour."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.ml import GradientBoostingRegressor
+from repro.ml import tree as tree_module
+from tests.oracles.tree_walk import walk_boosting
 
 
 def _data(n=600, seed=0):
@@ -20,6 +24,24 @@ def test_training_error_decreases_with_rounds():
     errs = ((stages - y) ** 2).mean(axis=1)
     assert errs[-1] < errs[0] * 0.3
     assert errs[10] > errs[50]
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+def test_predict_and_stages_are_the_scalar_walk(budget):
+    X, y = _data(n=300)
+    g = GradientBoostingRegressor(
+        n_estimators=25, learning_rate=0.3, max_depth=4, subsample=0.8, seed=0
+    ).fit(X, y)
+    Xq, _ = _data(n=80, seed=3)
+    Xq[::9, 2] = np.nan
+    Xq[1, 0], Xq[2, 1] = np.inf, -np.inf
+    expected = walk_boosting(g.trees_, g.learning_rate, g.base_score_, Xq)
+    budget = tree_module._LANE_BUDGET if budget is None else budget
+    with mock.patch.object(tree_module, "_LANE_BUDGET", budget):
+        np.testing.assert_array_equal(g.staged_predict(Xq), expected)
+        np.testing.assert_array_equal(g.predict(Xq), expected[-1])
+        rows = [g.predict(Xq[i : i + 1]) for i in range(len(Xq))]
+    np.testing.assert_array_equal(np.concatenate(rows), expected[-1])
 
 
 def test_base_score_is_mean():

@@ -1,12 +1,15 @@
 """Random forest behaviour."""
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeRegressor, RandomForestRegressor
-from repro.ml.tree import Tree
+from repro.ml import tree as tree_module
+from repro.ml.tree import Tree, TreeStack
+from tests.oracles.tree_walk import walk_forest, walk_leaf
 
 
 def _data(n=800, seed=0):
@@ -42,16 +45,6 @@ def test_seeded_reproducibility():
     assert not np.allclose(a, c)
 
 
-def test_predict_std_uncertainty():
-    X, y = _data()
-    f = RandomForestRegressor(n_estimators=20, seed=0).fit(X, y)
-    std_in = f.predict_std(X).mean()
-    # Far outside the training distribution trees disagree more... at least
-    # std is finite and non-negative everywhere.
-    assert np.all(f.predict_std(X) >= 0)
-    assert np.isfinite(std_in)
-
-
 def test_feature_importances_find_signal():
     X, y = _data(n=1500)
     f = RandomForestRegressor(n_estimators=20, seed=0).fit(X, y)
@@ -79,17 +72,8 @@ def test_validation():
 
 
 # --------------------------------------------------------------------- #
-# threshold-cell inference
+# threshold cells and the stacked descent, against the scalar walk
 # --------------------------------------------------------------------- #
-def _tree_mean(forest, X):
-    """The plain per-tree sum, in tree order, over every row."""
-    out = np.zeros(len(X))
-    for tree in forest.trees_:
-        out += tree.predict(X)
-    out /= len(forest.trees_)
-    return out
-
-
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])
 def test_predict_is_bitwise_the_per_tree_sum(kind):
     rng = np.random.default_rng(7)
@@ -100,9 +84,55 @@ def test_predict_is_bitwise_the_per_tree_sum(kind):
     y = np.sin(X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=len(X))
     f = RandomForestRegressor(n_estimators=12, seed=1).fit(X, y)
     Xq = np.vstack([X, rng.permutation(X), rng.normal(size=(200, 4))])
-    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+    np.testing.assert_array_equal(f.predict(Xq), walk_forest(f.trees_, Xq))
     if kind == "discrete":
         assert len(f._cells(X)[0]) <= 3**4
+
+
+def _leaf_tree(value):
+    """A root-only tree."""
+    return Tree(
+        feature=np.array([-1], dtype=np.int32),
+        threshold=np.zeros(1),
+        left=np.array([-1], dtype=np.int32),
+        right=np.array([-1], dtype=np.int32),
+        value=np.array([value]),
+        n_samples=np.array([1]),
+    )
+
+
+def test_trees_of_different_depths_and_a_root_only_leaf():
+    """Shallow trees' lanes sit on their leaves while deep ones descend."""
+    X, y = _data(n=400)
+    trees = [_leaf_tree(0.75)]
+    for depth in (1, 3, 9):
+        trees += RandomForestRegressor(n_estimators=2, max_depth=depth, seed=depth).fit(X, y).trees_
+    trees.append(_leaf_tree(-2.5))
+    f = RandomForestRegressor(n_estimators=len(trees))
+    f.n_features_in_ = X.shape[1]
+    f.trees_ = trees
+    Xq, _ = _data(n=150, seed=4)
+    np.testing.assert_array_equal(f.predict(Xq), walk_forest(trees, Xq))
+    single = RandomForestRegressor(n_estimators=1, seed=0).fit(X, y)
+    np.testing.assert_array_equal(single.predict(Xq), walk_forest(single.trees_, Xq))
+    only_leaf = RandomForestRegressor(n_estimators=1)
+    only_leaf.trees_ = [_leaf_tree(-0.0)]
+    # The sum starts from +0.0, as a plain running sum does.
+    assert np.signbit(walk_forest(only_leaf.trees_, Xq[:2])).tolist() == [False] * 2
+    np.testing.assert_array_equal(
+        np.signbit(only_leaf.predict(Xq[:2])), [False, False]
+    )
+
+
+def test_tree_apply_is_the_scalar_walk():
+    X, y = _data(n=300)
+    tree = DecisionTreeRegressor(max_depth=8, seed=0).fit(X, y).tree_
+    Xq, _ = _data(n=100, seed=5)
+    Xq[::7, 0] = np.nan
+    np.testing.assert_array_equal(
+        tree.apply(Xq), [walk_leaf(tree, x) for x in Xq]
+    )
+    assert tree.decision_depth() == 8
 
 
 def test_values_on_thresholds_and_non_finite_rows():
@@ -122,7 +152,49 @@ def test_values_on_thresholds_and_non_finite_rows():
                 rows.append(row)
     special = rng.choice([np.inf, -np.inf, np.nan, 0.0], size=(64, X.shape[1]))
     Xq = np.vstack([np.array(rows), special])
-    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+    np.testing.assert_array_equal(f.predict(Xq), walk_forest(f.trees_, Xq))
+
+
+def test_zero_rows():
+    """The estimators reject an empty ``X``; the descent under them
+    returns empty arrays."""
+    X, y = _data(n=200)
+    f = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+    empty = np.empty((0, X.shape[1]))
+    with pytest.raises(ValueError, match="zero samples"):
+        f.predict(empty)
+    stack = TreeStack(f.trees_)
+    assert stack.apply(empty).shape == (3, 0)
+    assert stack.accumulate(empty, base=0.0).shape == (0,)
+    assert stack.accumulate(empty, base=0.0, staged=True).shape == (3, 0)
+    assert f.trees_[0].apply(empty).shape == (0,)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 50])
+def test_blocked_descent(budget):
+    """A lane budget below ``n_trees`` descends one row per block; 50
+    lanes leave a short last block."""
+    X, y = _data(n=300)
+    f = RandomForestRegressor(n_estimators=6, seed=3).fit(X, y)
+    Xq, _ = _data(n=97, seed=6)
+    Xq[::5, 1] = np.nan
+    direct = f.predict(Xq)
+    f._inference = None
+    with mock.patch.object(tree_module, "_LANE_BUDGET", budget):
+        blocked = f.predict(Xq)
+    np.testing.assert_array_equal(blocked, direct)
+    np.testing.assert_array_equal(blocked, walk_forest(f.trees_, Xq))
+
+
+def test_single_rows_keep_the_tree_order():
+    """One row is one contiguous column of leaf values, which numpy's
+    unrolled reduction would add out of tree order."""
+    X, y = _data(n=300)
+    f = RandomForestRegressor(n_estimators=30, seed=4).fit(X, y)
+    Xq, _ = _data(n=40, seed=7)
+    expected = walk_forest(f.trees_, Xq)
+    got = np.concatenate([f.predict(Xq[i : i + 1]) for i in range(len(Xq))])
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_nan_goes_right_in_tree_descent():
@@ -162,15 +234,16 @@ def test_cell_keys_survive_int64_overflow():
     Xq = np.vstack([base, moved, base])
     first, cell = f._cells(Xq)
     assert len(first) == len(np.unique(Xq, axis=0))
-    np.testing.assert_array_equal(f.predict(Xq), _tree_mean(f, Xq))
+    np.testing.assert_array_equal(f.predict(Xq), walk_forest(f.trees_, Xq))
 
 
 def test_thresholds_are_never_pickled():
     X, y = _data(n=300)
     f = RandomForestRegressor(n_estimators=4, seed=0).fit(X, y)
     before = f.predict(X)
+    assert "_inference" in f.__dict__
     loaded = pickle.loads(pickle.dumps(f))
-    assert "_edges" not in loaded.__dict__
+    assert "_inference" not in loaded.__dict__
     np.testing.assert_array_equal(loaded.predict(X), before)
     # A model pickled before the fitted column count was recorded.
     del loaded.__dict__["n_features_in_"]
@@ -182,4 +255,4 @@ def test_refit_rederives_the_thresholds():
     f = RandomForestRegressor(n_estimators=4, seed=0).fit(X, y)
     f.predict(X)
     f.fit(X[:, ::-1], -y)
-    np.testing.assert_array_equal(f.predict(X), _tree_mean(f, X))
+    np.testing.assert_array_equal(f.predict(X), walk_forest(f.trees_, X))

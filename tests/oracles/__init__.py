@@ -14,6 +14,7 @@ from tests.oracles.interval_tree import (
     naive_stab_batch,
 )
 from tests.oracles.reference_sim import ReferenceSimulator
+from tests.oracles.tree_walk import walk_boosting, walk_forest, walk_leaf
 
 __all__ = [
     "ChunkedIntervalForest",
@@ -25,4 +26,7 @@ __all__ = [
     "exact_runtime_model",
     "forest_snapshots",
     "naive_stab_batch",
+    "walk_boosting",
+    "walk_forest",
+    "walk_leaf",
 ]
